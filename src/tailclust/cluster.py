@@ -36,9 +36,12 @@ def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
     emit {a} alone; else emit every active s with
     min(chi(a, s), chi(b, s)) >= tau, reading chi(x, x) from the unit
     diagonal so both seeds always belong. At most d iterations, O(d^3) total.
+    A single block (k = 1) makes every chi exactly 1 and is rejected.
     """
     if not tau >= 0.0:
         raise InvalidParam("tau must be a nonnegative real")
+    if chi.k < 2:
+        raise InvalidParam("clustering needs at least 2 blocks; lower the block size")
     labels = kernels.eco_labels(chi.values, float(tau))
     groups: dict[int, list[int]] = {}
     for var, lab in enumerate(labels):

@@ -1,114 +1,26 @@
-"""Hot numeric kernels: numba-compiled loops with pure-numpy fallbacks.
+"""Hot numeric kernels of the pipeline, one vectorized numpy body each.
 
-The compiled path is used when numba imports and the environment variable
-TAILCLUST_NO_NUMBA is unset or empty. Both paths implement identical
-arithmetic up to floating-point summation order; benchmarks/bench_kernels.py
-compares them.
+pairwise_abs_diff_sums feeds the madogram chi matrix, subset_gap_sum the
+SECO criterion, and eco_labels the greedy ECO clustering. The test suite
+pins each kernel against a plain-loop oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not os.environ.get("TAILCLUST_NO_NUMBA")
+# retained for run records that name the backend; there is no compiled path
+USE_NUMBA = False
 
 __all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
     "pairwise_abs_diff_sums",
     "subset_gap_sum",
     "eco_labels",
 ]
 
 
-# ---------------------------------------------------------------------------
-# loop bodies (plain python, compiled by numba when selected)
-
-def _pairwise_abs_diff_sums_loops(u):
-    k, d = u.shape
-    out = np.zeros((d, d))
-    for a in range(d - 1):
-        for b in range(a + 1, d):
-            s = 0.0
-            for i in range(k):
-                s += abs(u[i, a] - u[i, b])
-            out[a, b] = s
-            out[b, a] = s
-    return out
-
-
-def _subset_gap_sum_loops(u, idx):
-    k = u.shape[0]
-    p = idx.size
-    total = 0.0
-    for i in range(k):
-        mx = u[i, idx[0]]
-        s = mx
-        for j in range(1, p):
-            v = u[i, idx[j]]
-            s += v
-            if v > mx:
-                mx = v
-        gap = mx - s / p
-        # max >= mean holds exactly in real arithmetic; clamp fp dust
-        if gap > 0.0:
-            total += gap
-    return total
-
-
-def _eco_labels_loops(chi, tau):
-    d = chi.shape[0]
-    labels = np.full(d, -1, np.int64)
-    active = np.ones(d, np.bool_)
-    remaining = d
-    cid = 0
-    while remaining > 0:
-        if remaining == 1:
-            for i in range(d):
-                if active[i]:
-                    labels[i] = cid
-                    active[i] = False
-            remaining = 0
-            cid += 1
-            continue
-        best = -np.inf
-        ba = -1
-        bb = -1
-        for a in range(d):
-            if active[a]:
-                for b in range(a + 1, d):
-                    if active[b] and chi[a, b] > best:
-                        best = chi[a, b]
-                        ba = a
-                        bb = b
-        if best <= tau:
-            labels[ba] = cid
-            active[ba] = False
-            remaining -= 1
-        else:
-            for s in range(d):
-                if active[s] and min(chi[ba, s], chi[bb, s]) >= tau:
-                    labels[s] = cid
-                    active[s] = False
-                    remaining -= 1
-        cid += 1
-    return labels
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallbacks
-
-def _pairwise_abs_diff_sums_numpy(u):
+def pairwise_abs_diff_sums(u):
+    """Symmetric d x d matrix of sum_i |u[i, a] - u[i, b]|, zero diagonal."""
     k, d = u.shape
     out = np.zeros((d, d))
     # one contiguous 1-D reduction per pair: the summation tree then depends
@@ -121,14 +33,17 @@ def _pairwise_abs_diff_sums_numpy(u):
     return out
 
 
-def _subset_gap_sum_numpy(u, idx):
+def subset_gap_sum(u, idx):
+    """Sum over rows of max minus mean of the columns idx, clamped at 0."""
     sub = u[:, idx]
     gaps = sub.max(axis=1) - sub.mean(axis=1)
+    # max >= mean holds exactly in real arithmetic; clamp fp dust
     np.clip(gaps, 0.0, None, out=gaps)
     return float(gaps.sum())
 
 
-def _eco_labels_numpy(chi, tau):
+def eco_labels(chi, tau):
+    """Greedy ECO cluster label of each variable, in extraction order."""
     d = chi.shape[0]
     labels = np.full(d, -1, np.int64)
     active = np.ones(d, dtype=bool)
@@ -144,7 +59,7 @@ def _eco_labels_numpy(chi, tau):
         rows, cols = np.triu_indices(idx.size, k=1)
         vals = sub[rows, cols]
         # argmax returns the first (row-major) hit: the lexicographically
-        # smallest maximizing pair, matching the compiled loop
+        # smallest maximizing pair
         j = int(np.argmax(vals))
         a = int(idx[rows[j]])
         b = int(idx[cols[j]])
@@ -157,21 +72,3 @@ def _eco_labels_numpy(chi, tau):
             active[members] = False
         cid += 1
     return labels
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-if HAVE_NUMBA:
-    _pairwise_abs_diff_sums_njit = numba.njit(cache=True)(_pairwise_abs_diff_sums_loops)
-    _subset_gap_sum_njit = numba.njit(cache=True)(_subset_gap_sum_loops)
-    _eco_labels_njit = numba.njit(cache=True)(_eco_labels_loops)
-
-if USE_NUMBA:
-    pairwise_abs_diff_sums = _pairwise_abs_diff_sums_njit
-    subset_gap_sum = _subset_gap_sum_njit
-    eco_labels = _eco_labels_njit
-else:
-    pairwise_abs_diff_sums = _pairwise_abs_diff_sums_numpy
-    subset_gap_sum = _subset_gap_sum_numpy
-    eco_labels = _eco_labels_numpy

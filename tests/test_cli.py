@@ -143,6 +143,8 @@ def test_cluster_flag_errors(noise_csv, capsys):
         ["cluster", "--input", str(noise_csv), "--block-size", "0", "--tau", "0.1"],
         ["cluster", "--input", str(noise_csv), "--block-size", "9999", "--tau", "0.1"],
         ["cluster", "--input", str(noise_csv), "--block-size", "5", "--tau", "-0.2"],
+        ["cluster", "--input", str(noise_csv), "--block-size", "1500", "--tau", "0.1"],  # k = 1
+        ["cluster", "--input", str(noise_csv), "--block-size", "1500", "--auto-tau"],
         ["nonsense"],
     ]
     for argv in bad:

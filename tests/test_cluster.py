@@ -105,6 +105,9 @@ def test_tau_validation():
         eco_cluster(chi, -0.1)
     with pytest.raises(InvalidParam):
         eco_cluster(chi, float("nan"))
+    # one block: every chi is exactly 1, so any tau would merge everything
+    with pytest.raises(InvalidParam):
+        eco_cluster(chi_of(np.ones((3, 3)), k=1), 0.5)
 
 
 def test_output_is_always_a_valid_partition(rng):

@@ -1,24 +1,83 @@
-"""Backend agreement: compiled kernels versus the pure-numpy fallbacks."""
-
-import subprocess
-import sys
+"""Each numpy kernel against its plain-loop oracle."""
 
 import numpy as np
 import pytest
 
 from tailclust import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 
+# ---------------------------------------------------------------------------
+# plain-loop oracles: one scalar statement per step of the definition
 
-def brute_pairwise(u):
+def pairwise_loops(u):
     k, d = u.shape
     out = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            if a != b:
-                out[a, b] = sum(abs(u[i, a] - u[i, b]) for i in range(k))
+    for a in range(d - 1):
+        for b in range(a + 1, d):
+            s = 0.0
+            for i in range(k):
+                s += abs(u[i, a] - u[i, b])
+            out[a, b] = s
+            out[b, a] = s
     return out
+
+
+def gap_sum_loops(u, idx):
+    k = u.shape[0]
+    p = idx.size
+    total = 0.0
+    for i in range(k):
+        mx = u[i, idx[0]]
+        s = mx
+        for j in range(1, p):
+            v = u[i, idx[j]]
+            s += v
+            if v > mx:
+                mx = v
+        gap = mx - s / p
+        # max >= mean holds exactly in real arithmetic; clamp fp dust
+        if gap > 0.0:
+            total += gap
+    return total
+
+
+def eco_labels_loops(chi, tau):
+    d = chi.shape[0]
+    labels = np.full(d, -1, np.int64)
+    active = np.ones(d, np.bool_)
+    remaining = d
+    cid = 0
+    while remaining > 0:
+        if remaining == 1:
+            for i in range(d):
+                if active[i]:
+                    labels[i] = cid
+                    active[i] = False
+            remaining = 0
+            cid += 1
+            continue
+        best = -np.inf
+        ba = -1
+        bb = -1
+        for a in range(d):
+            if active[a]:
+                for b in range(a + 1, d):
+                    if active[b] and chi[a, b] > best:
+                        best = chi[a, b]
+                        ba = a
+                        bb = b
+        if best <= tau:
+            labels[ba] = cid
+            active[ba] = False
+            remaining -= 1
+        else:
+            for s in range(d):
+                if active[s] and min(chi[ba, s], chi[bb, s]) >= tau:
+                    labels[s] = cid
+                    active[s] = False
+                    remaining -= 1
+        cid += 1
+    return labels
 
 
 def random_chi(rng, d, quantize=False):
@@ -33,96 +92,42 @@ def random_chi(rng, d, quantize=False):
 
 def test_numpy_pairwise_matches_brute_force(rng):
     u = rng.random((7, 4))
-    assert np.allclose(kernels._pairwise_abs_diff_sums_numpy(u), brute_pairwise(u), atol=1e-12)
+    assert np.allclose(kernels.pairwise_abs_diff_sums(u), pairwise_loops(u), atol=1e-12)
 
 
 def test_numpy_gap_sum_matches_brute_force(rng):
     u = rng.random((9, 5))
     idx = np.array([0, 2, 4], dtype=np.int64)
-    expect = sum(u[i, idx].max() - u[i, idx].mean() for i in range(9))
-    assert kernels._subset_gap_sum_numpy(u, idx) == pytest.approx(expect, abs=1e-12)
+    assert kernels.subset_gap_sum(u, idx) == pytest.approx(gap_sum_loops(u, idx), abs=1e-12)
 
 
 def test_loop_bodies_match_numpy_paths(rng):
-    # the python loop source is what numba compiles; equality here plus the
-    # compiled checks below covers all three implementations
     for _ in range(20):
         k = int(rng.integers(1, 30))
         d = int(rng.integers(2, 8))
         u = rng.random((k, d))
-        assert np.allclose(
-            kernels._pairwise_abs_diff_sums_loops(u),
-            kernels._pairwise_abs_diff_sums_numpy(u),
-            atol=1e-12,
-        )
+        assert np.allclose(pairwise_loops(u), kernels.pairwise_abs_diff_sums(u), atol=1e-12)
         idx = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)).astype(np.int64)
-        assert kernels._subset_gap_sum_loops(u, idx) == pytest.approx(
-            kernels._subset_gap_sum_numpy(u, idx), abs=1e-12
-        )
+        assert gap_sum_loops(u, idx) == pytest.approx(kernels.subset_gap_sum(u, idx), abs=1e-12)
 
 
 def test_eco_label_paths_agree_exactly(rng):
     for trial in range(60):
-        d = int(rng.integers(2, 10))
+        d = int(rng.integers(2, 41 if trial % 3 == 0 else 10))
         chi = random_chi(rng, d, quantize=trial % 2 == 0)
-        tau = float(rng.uniform(0.0, 1.0))
-        a = kernels._eco_labels_loops(chi, tau)
-        b = kernels._eco_labels_numpy(chi, tau)
-        assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_compiled_kernels_match_loops(rng):
-    u = rng.random((40, 6))
-    idx = np.array([1, 3, 4], dtype=np.int64)
-    assert np.allclose(
-        kernels._pairwise_abs_diff_sums_njit(u),
-        kernels._pairwise_abs_diff_sums_loops(u),
-        atol=1e-12,
-    )
-    assert kernels._subset_gap_sum_njit(u, idx) == pytest.approx(
-        kernels._subset_gap_sum_loops(u, idx), abs=1e-12
-    )
-    for trial in range(20):
-        chi = random_chi(rng, int(rng.integers(2, 9)), quantize=trial % 2 == 0)
-        tau = float(rng.uniform(0.0, 1.0))
-        assert np.array_equal(
-            kernels._eco_labels_njit(chi, tau), kernels._eco_labels_loops(chi, tau)
-        )
+        if trial % 4 < 2:
+            tau = float(rng.uniform(0.0, 1.0))
+        else:
+            # tau equal to a chi value puts the strict seed test (best <= tau)
+            # and the non-strict membership test (>= tau) on their boundary
+            tau = float(rng.choice(chi[np.triu_indices(d, k=1)]))
+        assert np.array_equal(eco_labels_loops(chi, tau), kernels.eco_labels(chi, tau))
 
 
 def test_gap_sum_never_negative_for_identical_columns():
-    # max - mean of equal columns is 0 in real arithmetic; the kernels clamp
+    # max - mean of equal columns is 0 in real arithmetic; the kernel clamps
     # the floating-point dust so downstream madograms stay at exactly 0
     u = np.repeat(np.linspace(0.1, 1.0, 10).reshape(-1, 1), 3, axis=1)
     idx = np.arange(3, dtype=np.int64)
-    assert kernels._subset_gap_sum_numpy(u, idx) == 0.0
-    assert kernels._subset_gap_sum_loops(u, idx) == 0.0
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import tailclust.kernels as k; "
-        "print(k.USE_NUMBA, k.pairwise_abs_diff_sums is k._pairwise_abs_diff_sums_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "TAILCLUST_NO_NUMBA": "1"},
-        check=True,
-    )
-    assert out.stdout.split() == ["False", "True"]
-
-
-@needs_numba
-def test_default_environment_uses_compiled_backend():
-    code = "import tailclust.kernels as k; print(k.USE_NUMBA)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin"},
-        check=True,
-    )
-    assert out.stdout.split() == ["True"]
+    assert kernels.subset_gap_sum(u, idx) == 0.0
+    assert gap_sum_loops(u, idx) == 0.0
