@@ -8,7 +8,6 @@ significant digits so seeded reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -50,10 +49,17 @@ def _read_series(path: str) -> SeriesMatrix:
             if not header.strip():
                 raise MalformedInput(f"{path}: empty input")
             names = tuple(cell.strip() for cell in header.rstrip("\r\n").split(","))
-            body = fh.read()
-            if not body.strip():
+            # find a row with data before parsing: loadtxt warns on a body
+            # of only blank or "#" comment lines
+            start = fh.tell()
+            line = fh.readline()
+            while line and not line.split("#", 1)[0].strip():
+                line = fh.readline()
+            if not line:
                 raise MalformedInput(f"{path}: no data rows")
-            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+            fh.seek(start)
+            # parse from the handle: no string copy of the whole body
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -106,7 +112,7 @@ def cmd_cluster(args) -> int:
         if n < 1:
             raise MalformedInput("--grid-n must be positive")
         grid = [float(t) for t in np.unique(np.linspace(lo, hi, n))]
-        scan = select_threshold(pobs, grid)
+        scan = select_threshold(pobs, chi, grid)
         part = eco_cluster(chi, scan.selected)
     text = partition_to_json(part, series.names)
     if args.out_partition:

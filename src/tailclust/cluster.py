@@ -15,8 +15,16 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .core import ChiMatrix, EmptyGrid, InvalidParam, Partition, PseudoObs, canonicalize
-from .estimators import chi_matrix, seco, tau_theory
+from .core import (
+    ChiMatrix,
+    DimensionMismatch,
+    EmptyGrid,
+    InvalidParam,
+    Partition,
+    PseudoObs,
+    canonicalize,
+)
+from .estimators import extremal_coefficient, madogram, tau_theory
 
 __all__ = [
     "eco_cluster",
@@ -35,14 +43,17 @@ def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
     (ties go to the lexicographically smallest pair). If chi(a, b) <= tau,
     emit {a} alone; else emit every active s with
     min(chi(a, s), chi(b, s)) >= tau, reading chi(x, x) from the unit
-    diagonal so both seeds always belong. At most d iterations, O(d^3) total.
+    diagonal so both seeds always belong. The pairs are sorted once per chi
+    matrix, O(d^2 log d), and cached on it (ChiMatrix.pair_order); each call
+    is then one forward sweep over that order plus at most d membership
+    tests of O(d) each, so a threshold scan pays for the sort once.
     A single block (k = 1) makes every chi exactly 1 and is rejected.
     """
     if not tau >= 0.0:
         raise InvalidParam("tau must be a nonnegative real")
     if chi.k < 2:
         raise InvalidParam("clustering needs at least 2 blocks; lower the block size")
-    labels = kernels.eco_labels(chi.values, float(tau))
+    labels = kernels.eco_labels(chi.values, float(tau), chi.pair_order)
     groups: dict[int, list[int]] = {}
     for var, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(var)
@@ -70,12 +81,15 @@ class ThresholdScan:
 
 
 def select_threshold(
-    pobs: PseudoObs, grid: Sequence[float], abs_tol: float = 0.0
+    pobs: PseudoObs, chi: ChiMatrix, grid: Sequence[float], abs_tol: float = 0.0
 ) -> ThresholdScan:
     """Scan tau over the grid and keep the greatest minimizer of the SECO.
 
-    One chi matrix is computed and shared across grid points. selected is
-    the largest tau whose SECO lies within abs_tol of the minimum; the
+    chi is chi_matrix(pobs), computed once by the caller and shared with the
+    final eco_cluster call. Every grid point shares its pair order, the
+    whole-set extremal coefficient and the coefficient of each distinct
+    group, and each SECO equals seco(pobs, partition) bit for bit. selected
+    is the largest tau whose SECO lies within abs_tol of the minimum; the
     default abs_tol = 0 breaks exact ties toward the larger tau.
     """
     taus = [float(t) for t in grid]
@@ -87,12 +101,22 @@ def select_threshold(
         raise InvalidParam("grid must be strictly ascending")
     if abs_tol < 0.0:
         raise InvalidParam("abs_tol must be nonnegative")
-    chi = chi_matrix(pobs)
+    if (chi.d, chi.k) != (pobs.d, pobs.k):
+        raise DimensionMismatch(
+            f"chi matrix of d = {chi.d}, k = {chi.k} for pseudo-observations "
+            f"of d = {pobs.d}, k = {pobs.k}"
+        )
+    whole = extremal_coefficient(madogram(pobs, range(pobs.d))).value
+    thetas: dict[tuple[int, ...], float] = {}
     secos = []
     sizes = []
     for tau in taus:
         part = eco_cluster(chi, tau)
-        secos.append(seco(pobs, part))
+        for g in part.groups:
+            if g not in thetas:
+                thetas[g] = extremal_coefficient(madogram(pobs, g)).value
+        # the same sum, in the same group order, as estimators.seco
+        secos.append(sum(thetas[g] for g in part.groups) - whole)
         sizes.append(part.n_groups)
     cutoff = min(secos) + abs_tol
     selected = max(t for t, s in zip(taus, secos) if s <= cutoff)

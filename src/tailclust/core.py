@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import kernels
 
 __all__ = [
     "TailclustError",
@@ -237,6 +240,15 @@ class ChiMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def pair_order(self) -> np.ndarray:
+        """Pairs a < b by descending chi, ties in row-major order; sorted once.
+
+        A read-only 2 x d(d-1)/2 int array (kernels.pair_order) that every
+        eco_cluster call on this matrix shares.
+        """
+        return kernels.pair_order(self.values)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Hot numeric kernels of the pipeline, one vectorized numpy body each.
 
-pairwise_abs_diff_sums feeds the madogram chi matrix, subset_gap_sum the
-SECO criterion, and eco_labels the greedy ECO clustering. The test suite
-pins each kernel against a plain-loop oracle.
+pairwise_abs_diff_sums feeds the madogram chi matrix, one numpy reduction
+per column a and cache-sized tile of partner columns b; subset_gap_sum
+feeds the SECO criterion; pair_order sorts the pairs of a chi matrix once,
+and eco_labels runs greedy ECO clustering for one threshold as a
+forward-only sweep over that order, so a threshold scan shares one sort.
+The test suite pins each kernel against a plain-loop oracle.
 """
 
 from __future__ import annotations
@@ -15,21 +18,47 @@ USE_NUMBA = False
 __all__ = [
     "pairwise_abs_diff_sums",
     "subset_gap_sum",
+    "pair_order",
     "eco_labels",
 ]
+
+# pairwise_abs_diff_sums works on tiles of at most this many float64 (256 KB):
+# three tiles stay cache-resident, and the scratch memory does not grow with d
+_TILE_ELEMS = 1 << 15
+
+# first window of the skip over dead pairs in eco_labels; doubles on a miss
+_SKIP_WINDOW = 32
 
 
 def pairwise_abs_diff_sums(u):
     """Symmetric d x d matrix of sum_i |u[i, a] - u[i, b]|, zero diagonal."""
     k, d = u.shape
     out = np.zeros((d, d))
-    # one contiguous 1-D reduction per pair: the summation tree then depends
-    # only on k, so relabeling columns permutes the result bit for bit
-    for a in range(d - 1):
-        for b in range(a + 1, d):
-            s = float(np.abs(u[:, a] - u[:, b]).sum())
-            out[a, b] = s
-            out[b, a] = s
+    w = max(1, min(d, _TILE_ELEMS // max(k, 1)))
+    right = np.empty((w, k))
+    left = np.empty((w, k))
+    buf = np.empty((w, k))
+    for lo in range(1, d, w):
+        hi = min(lo + w, d)
+        # columns lo..hi-1 of u as contiguous rows, paired with every a < hi
+        rt = right[: hi - lo]
+        rt[...] = u[:, lo:hi].T
+        for alo in range(0, hi - 1, w):
+            ahi = min(alo + w, hi - 1)
+            lt = left[: ahi - alo]
+            lt[...] = u[:, alo:ahi].T
+            for a in range(alo, ahi):
+                start = max(lo, a + 1)
+                diff = buf[: hi - start]
+                np.subtract(rt[start - lo:], lt[a - alo], out=diff)
+                np.abs(diff, out=diff)
+                # each pair (a, b) is one contiguous length-k reduction along
+                # axis 1: the summation tree depends only on k, so relabeling
+                # columns permutes the result bit for bit and it equals a
+                # per-pair 1-D .sum()
+                s = diff.sum(axis=1)
+                out[a, start:hi] = s
+                out[start:hi, a] = s
     return out
 
 
@@ -42,33 +71,65 @@ def subset_gap_sum(u, idx):
     return float(gaps.sum())
 
 
-def eco_labels(chi, tau):
-    """Greedy ECO cluster label of each variable, in extraction order."""
+def pair_order(chi):
+    """Pairs a < b of a symmetric matrix by descending chi[a, b].
+
+    Returns a read-only 2 x d(d-1)/2 int array of (a, b) columns. Ties keep
+    row-major order, so among equal values the lexicographically smallest
+    pair comes first (the order of lexsort((b, a, -chi))).
+    """
+    rows, cols = np.triu_indices(chi.shape[0], k=1)
+    # a stable argsort of the row-major values breaks ties by (a, b); it
+    # allocates less than lexsort on three keys
+    order = np.argsort(-chi[rows, cols], kind="stable")
+    pairs = np.stack((rows[order], cols[order]))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _first_live(first, second, active, pos):
+    """Index of the first pair at or after pos whose two ends are active."""
+    width = _SKIP_WINDOW
+    while True:
+        live = active[first[pos:pos + width]] & active[second[pos:pos + width]]
+        hit = np.flatnonzero(live)
+        if hit.size:
+            return pos + int(hit[0])
+        pos += width
+        width *= 2
+
+
+def eco_labels(chi, tau, order):
+    """Greedy ECO cluster label of each variable, in extraction order.
+
+    order is pair_order(chi). Variables only ever leave the active set, so
+    the first pair of order with both ends active, the argmax seed pair,
+    moves forward only, and a scan over many taus shares one sort.
+    """
     d = chi.shape[0]
+    first, second = order
     labels = np.full(d, -1, np.int64)
     active = np.ones(d, dtype=bool)
+    remaining = d
     cid = 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        if idx.size == 1:
-            labels[idx[0]] = cid
-            active[idx[0]] = False
-            cid += 1
-            continue
-        sub = chi[np.ix_(idx, idx)]
-        rows, cols = np.triu_indices(idx.size, k=1)
-        vals = sub[rows, cols]
-        # argmax returns the first (row-major) hit: the lexicographically
-        # smallest maximizing pair
-        j = int(np.argmax(vals))
-        a = int(idx[rows[j]])
-        b = int(idx[cols[j]])
-        if vals[j] <= tau:
+    pos = 0
+    while remaining:
+        if remaining == 1:
+            labels[active] = cid
+            break
+        # two active variables leave at least one live pair ahead of pos
+        pos = _first_live(first, second, active, pos)
+        a = int(first[pos])
+        b = int(second[pos])
+        if chi[a, b] <= tau:
             labels[a] = cid
             active[a] = False
+            remaining -= 1
         else:
+            idx = np.flatnonzero(active)
             members = idx[np.minimum(chi[a, idx], chi[b, idx]) >= tau]
             labels[members] = cid
             active[members] = False
+            remaining -= members.size
         cid += 1
     return labels

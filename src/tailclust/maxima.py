@@ -31,6 +31,10 @@ def pseudo_obs(maxima: MaximaMatrix) -> PseudoObs:
     Entry (i, j) is #{r : M[r, j] <= M[i, j]} / k, so tied values share the
     largest rank of their tie group and a tie-free column carries exactly
     {1/k, ..., 1}.
+
+    With k >= 2 blocks a constant column raises InvalidParam naming its
+    index: every rank would be 1, and its chi of (3 - k)/(k + 1), near -1,
+    against every tie-free column would make it a singleton on no evidence.
     """
     x = maxima.values
     k = x.shape[0]
@@ -38,6 +42,11 @@ def pseudo_obs(maxima: MaximaMatrix) -> PseudoObs:
     for j in range(x.shape[1]):
         col = x[:, j]
         srt = np.sort(col)
+        if k >= 2 and srt[0] == srt[-1]:
+            raise InvalidParam(
+                f"column {j} has the same block maximum in all {k} blocks; "
+                "its ranks carry no information"
+            )
         out[:, j] = np.searchsorted(srt, col, side="right")
     out /= k
     return PseudoObs(out)

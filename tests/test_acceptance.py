@@ -192,8 +192,9 @@ def test_criterion_08_seco_selected_threshold_recovers_truth():
         model, truth = build_experiment_model("E1", 16, BETA, rng)
         series = repetition_process(RepetitionConfig(p=1.0, n=10_000, model=model), rng)
         pobs = pseudo_obs(block_maxima(series, 20))
-        scan = select_threshold(pobs, grid)
-        part = eco_cluster(chi_matrix(pobs), scan.selected)
+        chi = chi_matrix(pobs)
+        scan = select_threshold(pobs, chi, grid)
+        part = eco_cluster(chi, scan.selected)
         hits += partitions_equal(part, truth)
     assert hits / reps >= 0.9
     assert time.perf_counter() - t0 < 180.0

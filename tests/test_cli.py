@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,12 +160,29 @@ def test_cluster_malformed_csv(tmp_path, capsys):
         "text.csv": "a,b\n1.0,oops\n",
         "jagged.csv": "a,b\n1.0\n",
         "noheadernums.csv": "a,b\n",
+        "blankbody.csv": "a,b\n\n  \n",
+        "commentbody.csv": "a,b\n# no rows yet\n",
     }
     for name, content in cases.items():
         path = tmp_path / name
         path.write_text(content)
-        assert main(["cluster", "--input", str(path), "--block-size", "2", "--tau", "0.1"]) == 2
-        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+            assert main(["cluster", "--input", str(path), "--block-size", "2", "--tau", "0.1"]) == 2
+        err = capsys.readouterr().err
+        if name in ("noheadernums.csv", "blankbody.csv", "commentbody.csv"):
+            assert err.endswith(f"{name}: no data rows\n")
+
+
+def test_cluster_rejects_constant_column(tmp_path, capsys):
+    raw = np.random.default_rng(5).random((200, 4))
+    raw[:, 2] = 5.0
+    path = tmp_path / "flat.csv"
+    write_csv(path, raw, ("a", "b", "c", "d"))
+    for mode in (["--tau", "0.3"], ["--auto-tau"]):
+        assert main(["cluster", "--input", str(path), "--block-size", "10", *mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: column 2 ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from tailclust import (
     ChiMatrix,
+    DimensionMismatch,
     EmptyGrid,
     InvalidParam,
     ThresholdScan,
@@ -18,6 +19,7 @@ from tailclust import (
     select_threshold,
     tau_theory,
 )
+from tailclust import kernels
 
 from conftest import pobs_of, random_pobs
 
@@ -143,47 +145,76 @@ def test_relabeling_equivariance_tie_free(rng):
 
 
 def test_select_threshold_matches_direct_scan(rng):
-    p = random_pobs(rng, 60, 5)
     grid = [0.05, 0.15, 0.3, 0.5, 0.8]
-    scan = select_threshold(p, grid)
-    chi = chi_matrix(p)
-    secos = [seco(p, eco_cluster(chi, t)) for t in grid]
-    assert scan.secos == pytest.approx(secos, abs=1e-12)
-    best = min(secos)
-    assert scan.selected == max(t for t, s in zip(grid, secos) if s <= best)
-    assert scan.n_clusters == tuple(eco_cluster(chi, t).n_groups for t in grid)
+    # d = 30 sums up to 30 group coefficients, where another summation
+    # order would show in the last bits
+    for k, d in [(60, 5)] + [(200, 30)] * 4:
+        p = random_pobs(rng, k, d)
+        chi = chi_matrix(p)
+        scan = select_threshold(p, chi, grid)
+        secos = [seco(p, eco_cluster(chi, t)) for t in grid]
+        # the memoised group coefficients sum in the same order as seco
+        assert scan.secos == tuple(secos)
+        best = min(secos)
+        assert scan.selected == max(t for t, s in zip(grid, secos) if s <= best)
+        assert scan.n_clusters == tuple(eco_cluster(chi, t).n_groups for t in grid)
 
 
 def test_select_threshold_single_point_grid(rng):
     p = random_pobs(rng, 30, 3)
-    assert select_threshold(p, [0.4]).selected == 0.4
+    assert select_threshold(p, chi_matrix(p), [0.4]).selected == 0.4
 
 
 def test_select_threshold_prefers_largest_minimizer(rng):
     # a comonotone pair keeps the partition and its seco constant across the
     # whole grid, so the tie must resolve to the last grid point
     twin = np.repeat(rng.random((40, 1)), 2, axis=1)
-    scan = select_threshold(pobs_of(twin), [0.1, 0.5, 0.9])
+    p = pobs_of(twin)
+    scan = select_threshold(p, chi_matrix(p), [0.1, 0.5, 0.9])
     assert scan.selected == 0.9
 
 
 def test_select_threshold_abs_tol_widens_the_tie(rng):
     p = random_pobs(rng, 50, 4)
     grid = [0.1, 0.3, 0.6, 0.9]
-    loose = select_threshold(p, grid, abs_tol=1e9)
+    loose = select_threshold(p, chi_matrix(p), grid, abs_tol=1e9)
     assert loose.selected == 0.9
 
 
 def test_select_threshold_validation(rng):
     p = random_pobs(rng, 20, 3)
+    chi = chi_matrix(p)
     with pytest.raises(EmptyGrid):
-        select_threshold(p, [])
+        select_threshold(p, chi, [])
     with pytest.raises(InvalidParam):
-        select_threshold(p, [0.3, 0.2])
+        select_threshold(p, chi, [0.3, 0.2])
     with pytest.raises(InvalidParam):
-        select_threshold(p, [-0.1, 0.2])
+        select_threshold(p, chi, [-0.1, 0.2])
     with pytest.raises(InvalidParam):
-        select_threshold(p, [0.1, 0.2], abs_tol=-1.0)
+        select_threshold(p, chi, [0.1, 0.2], abs_tol=-1.0)
+    # a chi matrix of other data is refused, not scanned
+    with pytest.raises(DimensionMismatch):
+        select_threshold(p, chi_matrix(random_pobs(rng, 20, 4)), [0.1, 0.2])
+    with pytest.raises(DimensionMismatch):
+        select_threshold(p, chi_matrix(random_pobs(rng, 21, 3)), [0.1, 0.2])
+
+
+def test_select_threshold_never_recomputes_chi(rng, monkeypatch):
+    p = random_pobs(rng, 60, 5)
+    chi = chi_matrix(p)
+    calls = []
+    pairwise = kernels.pairwise_abs_diff_sums
+
+    def counted(u):
+        calls.append(u.shape)
+        return pairwise(u)
+
+    monkeypatch.setattr(kernels, "pairwise_abs_diff_sums", counted)
+    scan = select_threshold(p, chi, [0.05, 0.15, 0.3, 0.5, 0.8])
+    assert calls == []
+    chi_matrix(p)  # the counter does see a chi computation
+    assert calls == [(60, 5)]
+    assert len(scan.secos) == 5
 
 
 def test_threshold_scan_validation():
@@ -214,7 +245,7 @@ def test_default_grid_shape_and_span():
 
 def test_scan_to_csv_flags_selected_row(rng):
     p = random_pobs(rng, 40, 4)
-    scan = select_threshold(p, [0.1, 0.3, 0.5])
+    scan = select_threshold(p, chi_matrix(p), [0.1, 0.3, 0.5])
     text = scan_to_csv(scan)
     lines = text.strip().split("\n")
     assert lines[0] == "tau,seco,n_clusters,selected"

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tailclust import kernels
+from tailclust import ChiMatrix, kernels
 
 
 # ---------------------------------------------------------------------------
@@ -17,6 +19,19 @@ def pairwise_loops(u):
             s = 0.0
             for i in range(k):
                 s += abs(u[i, a] - u[i, b])
+            out[a, b] = s
+            out[b, a] = s
+    return out
+
+
+def pairwise_pair_sums(u):
+    # one contiguous 1-D .sum() per pair: numpy's pairwise summation tree for
+    # length k, the order the kernel promises to reproduce bit for bit
+    k, d = u.shape
+    out = np.zeros((d, d))
+    for a in range(d - 1):
+        for b in range(a + 1, d):
+            s = float(np.abs(u[:, a] - u[:, b]).sum())
             out[a, b] = s
             out[b, a] = s
     return out
@@ -121,7 +136,69 @@ def test_eco_label_paths_agree_exactly(rng):
             # tau equal to a chi value puts the strict seed test (best <= tau)
             # and the non-strict membership test (>= tau) on their boundary
             tau = float(rng.choice(chi[np.triu_indices(d, k=1)]))
-        assert np.array_equal(eco_labels_loops(chi, tau), kernels.eco_labels(chi, tau))
+        labels = kernels.eco_labels(chi, tau, kernels.pair_order(chi))
+        assert np.array_equal(eco_labels_loops(chi, tau), labels)
+
+
+@pytest.mark.parametrize("k, d", [(2, 9), (129, 9), (997, 70), (3333, 40)])
+def test_pairwise_matches_per_pair_sums_bit_for_bit(rng, k, d):
+    # the last two sizes span several 2**15-element tiles of columns
+    u = rng.random((k, d))
+    assert np.array_equal(kernels.pairwise_abs_diff_sums(u), pairwise_pair_sums(u))
+    # a column-major input (a transposed view) gives the same bits
+    assert np.array_equal(kernels.pairwise_abs_diff_sums(np.asfortranarray(u)), pairwise_pair_sums(u))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 50),
+    perm=st.integers(2, 12).flatmap(lambda d: st.permutations(range(d))),
+    q=st.floats(0.0, 1.0),
+)
+def test_column_permutation_permutes_chi_and_relabels_eco(seed, k, perm, q):
+    perm = np.array(perm)
+    d = perm.size
+    u = np.random.default_rng(seed).random((k, d))
+    sums = kernels.pairwise_abs_diff_sums(u)
+    permuted = kernels.pairwise_abs_diff_sums(u[:, perm])
+    assert np.array_equal(permuted, sums[np.ix_(perm, perm)])
+
+    # a similarity in chi's role; ties would let the lexicographic
+    # tie-break depend on the labels, so the property assumes none
+    chi = 1.0 - sums / k
+    np.fill_diagonal(chi, 1.0)
+    off = chi[np.triu_indices(d, k=1)]
+    assume(np.unique(off).size == off.size)
+    tau = float(np.quantile(off, q))
+    chi_p = chi[np.ix_(perm, perm)]
+    base = kernels.eco_labels(chi, tau, kernels.pair_order(chi))
+    relabeled = kernels.eco_labels(chi_p, tau, kernels.pair_order(chi_p))
+
+    def groups(labels, names):
+        return {frozenset(int(names[i]) for i in np.flatnonzero(labels == c)) for c in set(labels)}
+
+    assert groups(relabeled, perm) == groups(base, np.arange(d))
+
+
+def test_eco_labels_shared_order_matches_loops_on_a_grid(rng):
+    for trial in range(12):
+        d = int(rng.integers(2, 30))
+        vals = random_chi(rng, d, quantize=trial % 2 == 0)
+        chi = ChiMatrix(vals, k=100)
+        order = chi.pair_order
+        rows, cols = np.triu_indices(d, k=1)
+        off = vals[rows, cols]
+        expected = np.lexsort((cols, rows, -off))
+        assert np.array_equal(order, np.stack((rows[expected], cols[expected])))
+        assert chi.pair_order is order and not order.flags.writeable
+        # every off-diagonal value is a boundary case for the seed and the
+        # membership tests; above the largest value all are singletons
+        grid = np.unique(np.concatenate([off, rng.uniform(0.0, 1.0, 5), [off.max() + 0.1]]))
+        for tau in grid[grid >= 0.0]:
+            labels = kernels.eco_labels(vals, float(tau), order)
+            assert np.array_equal(labels, eco_labels_loops(vals, float(tau)))
+        assert np.unique(labels).size == d
 
 
 def test_gap_sum_never_negative_for_identical_columns():

@@ -85,6 +85,15 @@ def test_pipeline_permutation_equivariance(rng):
     assert np.array_equal(a.values, b.values[:, perm])
 
 
+def test_pseudo_obs_rejects_constant_column(rng):
+    raw = rng.random((40, 4))
+    raw[:, 2] = 5.0
+    with pytest.raises(InvalidParam, match="column 2 "):
+        pseudo_obs(block_maxima(SeriesMatrix(raw), 4))
+    # one block (k = 1) ranks every column to 1; that stays allowed
+    assert pseudo_obs(block_maxima(SeriesMatrix(raw), 40)).values.tolist() == [[1.0] * 4]
+
+
 def test_pseudo_obs_range(rng):
     p = pobs_of(rng.standard_cauchy((50, 3)))
     assert (p.values > 0).all() and (p.values <= 1).all()
