@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .core import InvalidG, InvalidParam, Partition, PseudoObs, canonicalize
 
 __all__ = ["madogram_dissimilarity", "hc_cluster", "skmeans_cluster"]
@@ -21,7 +20,7 @@ def madogram_dissimilarity(pobs: PseudoObs) -> np.ndarray:
     """
     if pobs.d < 2:
         raise InvalidParam("need at least two variables")
-    return kernels.pairwise_abs_diff_sums(pobs.values) / (2.0 * pobs.k)
+    return pobs.abs_diff_sums / (2.0 * pobs.k)
 
 
 def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
@@ -31,6 +30,11 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
     clusters, clusters being identified by their smallest member. The
     unweighted average update keeps cluster distances equal to the mean of
     all cross pairs.
+
+    Each merge is one whole-matrix argmin over a d x d copy that keeps the
+    strict upper triangle of the live distances and inf everywhere else; a
+    merge refreshes only the two rows and columns it changed, so no mask is
+    rebuilt per merge.
     """
     dissim = np.asarray(dissim, dtype=float)
     if dissim.ndim != 2 or dissim.shape[0] != dissim.shape[1]:
@@ -47,15 +51,17 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
 
     dist = dissim.copy()
     np.fill_diagonal(dist, np.inf)
+    # up holds dist on the strict upper triangle and inf elsewhere; merged
+    # clusters' rows and columns of dist hold inf, so up needs no alive mask
+    up = dist.copy()
+    up[np.tril_indices(d)] = np.inf
     alive = np.ones(d, dtype=bool)
     sizes = np.ones(d)
     members: list[list[int]] = [[j] for j in range(d)]
     # positions stay sorted by smallest member: a merge keeps the smaller
     # position, so a row-major argmin scan is the lexicographic tie-break
     for _ in range(d - g):
-        masked = np.where(np.outer(alive, alive), dist, np.inf)
-        masked[np.tril_indices(d)] = np.inf
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        i, j = divmod(int(np.argmin(up)), d)
         new = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
         dist[i] = new
         dist[:, i] = new
@@ -65,6 +71,10 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
         dist[j] = np.inf
         dist[:, j] = np.inf
         members[i].extend(members[j])
+        up[i, i + 1:] = dist[i, i + 1:]
+        up[:i, i] = dist[:i, i]
+        up[j] = np.inf
+        up[:, j] = np.inf
     return canonicalize((members[i] for i in np.flatnonzero(alive)), d)
 
 
@@ -78,6 +88,13 @@ def skmeans_cluster(
     random, then repeatedly the variable least similar to its nearest chosen
     center) and iterates assign/update to a fixed point. The best total
     cosine objective across restarts wins; ties keep the earliest restart.
+
+    Per iteration, the member counts are one bincount, the repair of empty
+    clusters runs only when a count is zero, and one stable argsort of the
+    labels lays each cluster's rows out as one contiguous slice to average.
+    A cluster that a repair empties after its own turn keeps no rows; its
+    centre is NaN, as the mean of no rows is, and its restart's NaN
+    objective never wins.
     """
     d = pobs.d
     if not 1 <= g <= d:
@@ -115,16 +132,29 @@ def _one_skmeans_run(x: np.ndarray, g: int, rng: np.random.Generator):
         sims = x @ centers.T
         new_labels = np.argmax(sims, axis=1)
         fit = sims[np.arange(d), new_labels]
-        for cid in range(g):
-            if not (new_labels == cid).any():
-                worst = int(np.argmin(fit))
-                new_labels[worst] = cid
-                fit[worst] = np.inf  # cannot be stolen by another empty cluster
+        counts = np.bincount(new_labels, minlength=g)
+        if not counts.all():
+            for cid in range(g):
+                # counts follow the moves, so a cluster a steal empties is
+                # refilled when its turn comes, and one already passed is not
+                if counts[cid] == 0:
+                    worst = int(np.argmin(fit))
+                    counts[new_labels[worst]] -= 1
+                    counts[cid] += 1
+                    new_labels[worst] = cid
+                    fit[worst] = np.inf  # cannot be stolen by another empty cluster
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+        # each cluster's rows, contiguous and in index order: a slice is the
+        # same C-ordered block as x[labels == cid], so its mean has the same bits
+        grouped = x[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(counts)
         for cid in range(g):
-            mean = x[labels == cid].mean(axis=0)
+            if counts[cid] == 0:
+                centers[cid] = np.nan  # the mean of no rows
+                continue
+            mean = grouped[ends[cid] - counts[cid]:ends[cid]].mean(axis=0)
             centers[cid] = mean / np.linalg.norm(mean)
     sims = x @ centers.T
     objective = float(sims[np.arange(d), labels].sum())

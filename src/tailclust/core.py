@@ -196,11 +196,12 @@ class PseudoObs:
         if not ((arr > 0.0) & (arr <= 1.0)).all():
             raise InvalidParam("pseudo-observations must lie in (0, 1]")
         k = arr.shape[0]
-        grid = np.arange(1, k + 1) / k
-        for j in range(arr.shape[1]):
-            col = np.sort(arr[:, j])
-            if np.unique(col).size == k and not np.array_equal(col, grid):
-                raise InvalidParam(f"column {j} is tie-free but is not the rank grid")
+        srt = np.sort(arr, axis=0)
+        tie_free = (srt[1:] != srt[:-1]).all(axis=0)
+        off_grid = (srt != (np.arange(1, k + 1) / k)[:, None]).any(axis=0)
+        bad = np.flatnonzero(tie_free & off_grid)
+        if bad.size:
+            raise InvalidParam(f"column {int(bad[0])} is tie-free but is not the rank grid")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -210,6 +211,23 @@ class PseudoObs:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def abs_diff_sums(self) -> np.ndarray:
+        """sum_i |U[i, a] - U[i, b]| for every pair, computed once per instance.
+
+        A read-only d x d array (kernels.pairwise_abs_diff_sums) that
+        chi_matrix and madogram_dissimilarity share. The memo sits in the
+        instance dict, not behind functools.cached_property, whose lock is
+        shared by all instances on Python 3.11 and would serialise the
+        kernel across threads.
+        """
+        sums = self.__dict__.get("_abs_diff_sums")
+        if sums is None:
+            sums = kernels.pairwise_abs_diff_sums(self.values)
+            sums.flags.writeable = False
+            self.__dict__["_abs_diff_sums"] = sums
+        return sums
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,8 @@ def chi_matrix(pobs: PseudoObs) -> ChiMatrix:
     entry; the pairwise madogram reduces to (1/(2k)) sum_i |U[i,a] - U[i,b]|.
     Values below zero are kept, not clipped.
     """
-    u = pobs.values
     k = pobs.k
-    sums = kernels.pairwise_abs_diff_sums(u)
-    nu = sums / (2.0 * k)
+    nu = pobs.abs_diff_sums / (2.0 * k)
     chi = 2.0 - (0.5 + nu) / (0.5 - nu)
     np.fill_diagonal(chi, 1.0)
     return ChiMatrix(values=chi, k=k)
@@ -167,10 +165,6 @@ def tau_theory(m: int, d: int, k: int) -> float:
     return 2.0 * (1.0 / m + math.sqrt(math.log(d) / k))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def chi_to_csv(chi: ChiMatrix, names: Sequence[str], clip: bool = False) -> str:
     """Render the full symmetric matrix as CSV with a header of variable names.
 
@@ -182,7 +176,8 @@ def chi_to_csv(chi: ChiMatrix, names: Sequence[str], clip: bool = False) -> str:
     vals = chi.values
     if clip:
         vals = np.clip(vals, 0.0, 1.0)
+    # one % per row; each cell formats exactly as format(x, ".17g")
+    row_fmt = ",".join(["%.17g"] * chi.d)
     lines = [",".join(names)]
-    for i in range(chi.d):
-        lines.append(",".join(_fmt(v) for v in vals[i]))
+    lines.extend(row_fmt % tuple(row) for row in vals.tolist())
     return "\n".join(lines) + "\n"

@@ -32,21 +32,34 @@ def pseudo_obs(maxima: MaximaMatrix) -> PseudoObs:
     largest rank of their tie group and a tie-free column carries exactly
     {1/k, ..., 1}.
 
+    All columns are ranked at once: one argsort along axis 0, then each
+    sorted position takes the rank of the end of its tie group, and the
+    ranks are scattered back through the sort order. The order inside a tie
+    group does not matter, so the sort need not be stable.
+
     With k >= 2 blocks a constant column raises InvalidParam naming its
     index: every rank would be 1, and its chi of (3 - k)/(k + 1), near -1,
     against every tie-free column would make it a singleton on no evidence.
     """
     x = maxima.values
     k = x.shape[0]
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        srt = np.sort(col)
-        if k >= 2 and srt[0] == srt[-1]:
+    order = np.argsort(x, axis=0)
+    srt = np.take_along_axis(x, order, axis=0)
+    if k >= 2:
+        constant = np.flatnonzero(srt[0] == srt[-1])
+        if constant.size:
             raise InvalidParam(
-                f"column {j} has the same block maximum in all {k} blocks; "
+                f"column {int(constant[0])} has the same block maximum in all {k} blocks; "
                 "its ranks carry no information"
             )
-        out[:, j] = np.searchsorted(srt, col, side="right")
+    # a group end holds its rank, position + 1; every other position holds
+    # k, so the running minimum from the bottom carries each end's rank up
+    # through its group
+    ends = np.ones(srt.shape, dtype=bool)
+    ends[:-1] = srt[1:] != srt[:-1]
+    ranks = np.where(ends, np.arange(1.0, k + 1.0)[:, None], float(k))
+    ranks = np.minimum.accumulate(ranks[::-1], axis=0)[::-1]
+    out = np.empty_like(x)
+    np.put_along_axis(out, order, ranks, axis=0)
     out /= k
     return PseudoObs(out)

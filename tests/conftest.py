@@ -1,13 +1,18 @@
 """Shared helpers for the test suite.
 
-Every randomized test draws from an explicitly seeded numpy Generator so the
-whole suite is deterministic run to run.
+Every randomized test draws from an explicitly seeded numpy Generator, and
+hypothesis runs under a derandomized profile without an example database,
+so the whole suite is deterministic run to run.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tailclust import SeriesMatrix, block_maxima, canonicalize, pseudo_obs
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def pobs_of(raw, names=()):

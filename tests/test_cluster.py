@@ -8,6 +8,7 @@ from tailclust import (
     DimensionMismatch,
     EmptyGrid,
     InvalidParam,
+    PseudoObs,
     ThresholdScan,
     canonicalize,
     chi_matrix,
@@ -212,7 +213,9 @@ def test_select_threshold_never_recomputes_chi(rng, monkeypatch):
     monkeypatch.setattr(kernels, "pairwise_abs_diff_sums", counted)
     scan = select_threshold(p, chi, [0.05, 0.15, 0.3, 0.5, 0.8])
     assert calls == []
-    chi_matrix(p)  # the counter does see a chi computation
+    # the counter does see a chi computation; p itself already holds its
+    # pairwise sums, so a fresh instance is needed
+    chi_matrix(PseudoObs(p.values))
     assert calls == [(60, 5)]
     assert len(scan.secos) == 5
 

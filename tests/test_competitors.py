@@ -1,5 +1,8 @@
 """Baseline algorithms: average-linkage clustering and spherical k-means."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,11 @@ from tailclust import (
     InvalidG,
     InvalidParam,
     NestedModel,
+    PseudoObs,
     RepetitionConfig,
     block_maxima,
+    canonicalize,
+    chi_matrix,
     hc_cluster,
     madogram,
     madogram_dissimilarity,
@@ -18,11 +24,78 @@ from tailclust import (
     skmeans_cluster,
 )
 
+from tailclust import kernels
+from tailclust.competitors import _one_skmeans_run
+
 from conftest import pobs_of, random_pobs
 
 COUNTERMONOTONE = np.array(
     [[0.25, 1.0], [0.5, 0.75], [0.75, 0.5], [1.0, 0.25]]
 )
+
+
+def hc_cluster_loops(dissim, g):
+    """Average linkage with an alive mask and a lower-triangle mask rebuilt per merge."""
+    d = dissim.shape[0]
+    dist = np.array(dissim, dtype=float)
+    np.fill_diagonal(dist, np.inf)
+    alive = np.ones(d, dtype=bool)
+    sizes = np.ones(d)
+    members = [[j] for j in range(d)]
+    for _ in range(d - g):
+        masked = np.where(np.outer(alive, alive), dist, np.inf)
+        masked[np.tril_indices(d)] = np.inf
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        new = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        dist[i] = new
+        dist[:, i] = new
+        dist[i, i] = np.inf
+        sizes[i] += sizes[j]
+        alive[j] = False
+        dist[j] = np.inf
+        dist[:, j] = np.inf
+        members[i].extend(members[j])
+    return canonicalize((members[i] for i in np.flatnonzero(alive)), d)
+
+
+def skmeans_run_loops(x, g, rng):
+    """One spherical k-means restart with per-cluster masks. Also returns the
+    repairs of empty clusters it made, and the clusters a repair left empty
+    (their mean is NaN, with numpy's empty-slice warnings)."""
+    d = x.shape[0]
+    first = int(rng.integers(d))
+    chosen = [first]
+    nearest = x @ x[first]
+    for _ in range(1, g):
+        cand = int(np.argmin(nearest))
+        chosen.append(cand)
+        np.maximum(nearest, x @ x[cand], out=nearest)
+    centers = x[chosen].copy()
+
+    repaired = emptied = 0
+    labels = np.full(d, -1, dtype=np.int64)
+    for _ in range(200):
+        sims = x @ centers.T
+        new_labels = np.argmax(sims, axis=1)
+        fit = sims[np.arange(d), new_labels]
+        for cid in range(g):
+            if not (new_labels == cid).any():
+                repaired += 1
+                worst = int(np.argmin(fit))
+                new_labels[worst] = cid
+                fit[worst] = np.inf
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for cid in range(g):
+            emptied += not (labels == cid).any()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                mean = x[labels == cid].mean(axis=0)
+            centers[cid] = mean / np.linalg.norm(mean)
+    sims = x @ centers.T
+    objective = float(sims[np.arange(d), labels].sum())
+    return labels, objective, repaired, emptied
 
 
 def sym(entries, d):
@@ -50,6 +123,35 @@ def test_dissimilarity_matches_subset_madogram(rng):
     for a in range(5):
         for b in range(a + 1, 5):
             assert dis[a, b] == pytest.approx(madogram(p, [a, b]).value, abs=1e-12)
+
+
+def test_chi_and_dissimilarity_share_one_pairwise_pass(rng, monkeypatch):
+    calls = []
+    pairwise = kernels.pairwise_abs_diff_sums
+
+    def counted(u):
+        calls.append(u.shape)
+        return pairwise(u)
+
+    monkeypatch.setattr(kernels, "pairwise_abs_diff_sums", counted)
+    p = random_pobs(rng, 30, 6)
+    chi = chi_matrix(p)
+    dis = madogram_dissimilarity(p)
+    assert calls == [(30, 6)]
+    sums = p.abs_diff_sums
+    assert sums is p.abs_diff_sums and not sums.flags.writeable
+    assert np.array_equal(sums, pairwise(p.values))
+    # both layers derive from the shared sums by the same expression
+    nu = sums / (2.0 * p.k)
+    assert np.array_equal(dis, nu)
+    expected = 2.0 - (0.5 + nu) / (0.5 - nu)
+    np.fill_diagonal(expected, 1.0)
+    assert np.array_equal(chi.values, expected)
+    # the callers get arrays of their own
+    assert dis.flags.writeable and not np.shares_memory(dis, sums)
+    # an equal-valued instance computes its own
+    madogram_dissimilarity(PseudoObs(p.values))
+    assert len(calls) == 2
 
 
 def test_dissimilarity_needs_two_variables(rng):
@@ -137,10 +239,23 @@ def test_hc_permutation_equivariance(rng):
     permuted = hc_cluster(dis[np.ix_(perm, perm)], 3)
     inverse = np.empty(d, dtype=int)
     inverse[perm] = np.arange(d)
-    from tailclust import canonicalize
-
     relabeled = canonicalize([[int(inverse[i]) for i in g] for g in base.groups], d)
     assert partitions_equal(permuted, relabeled)
+
+
+def test_hc_matches_masked_argmin_loop_at_every_g(rng):
+    # rounded dissimilarities tie often, which exercises the tie-break
+    for trial in range(40):
+        d = int(rng.integers(2, 26))
+        dis = madogram_dissimilarity(random_pobs(rng, int(rng.integers(5, 40)), d))
+        dis = np.round(dis, 1 if trial % 2 else 2)
+        for g in range(1, d + 1):
+            assert hc_cluster(dis, g).groups == hc_cluster_loops(dis, g).groups
+    # all dissimilarities equal: every merge is a tie
+    flat = np.full((7, 7), 0.25)
+    np.fill_diagonal(flat, 0.0)
+    for g in range(1, 8):
+        assert hc_cluster(flat, g).groups == hc_cluster_loops(flat, g).groups
 
 
 def test_hc_validation(rng):
@@ -203,3 +318,31 @@ def test_skmeans_validation(rng):
         skmeans_cluster(p, 4, 3, np.random.default_rng(0))
     with pytest.raises(InvalidParam):
         skmeans_cluster(p, 2, 0, np.random.default_rng(0))
+
+
+def test_skmeans_run_matches_per_cluster_loop(rng):
+    cases = []
+    for _ in range(30):
+        cases.append(random_pobs(rng, int(rng.integers(5, 40)), int(rng.integers(2, 12))))
+    for _ in range(60):
+        # duplicated columns make whole clusters coincide, so the repair of
+        # empty clusters runs, and a steal can empty a cluster it has passed
+        k = int(rng.integers(2, 8))
+        base = rng.integers(1, k + 1, size=(k, int(rng.integers(1, 5)))) / k
+        cols = rng.integers(0, base.shape[1], size=int(rng.integers(2, 10)))
+        cases.append(PseudoObs(base[:, cols]))
+    repaired = emptied = 0
+    for ci, p in enumerate(cases):
+        x = p.values.T.copy()
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for g in sorted({1, 2, p.d // 2 or 1, p.d}):
+            seed = 1000 * ci + g
+            ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            labels, obj = _one_skmeans_run(x, g, ours_rng)
+            ref_labels, ref_obj, ref_repaired, ref_emptied = skmeans_run_loops(x, g, ref_rng)
+            assert np.array_equal(labels, ref_labels)
+            assert obj == ref_obj or (math.isnan(obj) and math.isnan(ref_obj))
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+            repaired += ref_repaired
+            emptied += ref_emptied
+    assert repaired > 0 and emptied > 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailclust import (
     ChiMatrix,
@@ -93,6 +95,54 @@ def test_pseudo_obs_rejects_tie_free_non_grid():
     # distinct values that are not {1/3, 2/3, 1} cannot be scaled ranks
     with pytest.raises(InvalidParam):
         PseudoObs(np.array([[0.2], [0.5], [1.0]]))
+
+
+def rank_grid_check_loops(arr):
+    """Raise as PseudoObs does for the first tie-free column off the rank grid."""
+    k = arr.shape[0]
+    grid = np.arange(1, k + 1) / k
+    for j in range(arr.shape[1]):
+        col = np.sort(arr[:, j])
+        if np.unique(col).size == k and not np.array_equal(col, grid):
+            raise InvalidParam(f"column {j} is tie-free but is not the rank grid")
+
+
+@st.composite
+def _rank_columns(draw):
+    k = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(("grid", "ties", "nudged", "scaled")))
+        if kind == "ties":
+            ranks = draw(st.lists(st.integers(1, k), min_size=k, max_size=k))
+            col = np.array(ranks) / k
+        else:
+            col = np.array(draw(st.permutations(range(1, k + 1)))) / k
+        if kind == "nudged":
+            # one entry one ulp off the grid: still tie-free, no longer ranks
+            i = draw(st.integers(0, k - 1))
+            col[i] = np.nextafter(col[i], 0.0)
+        elif kind == "scaled":
+            col = col * 0.5
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arr=_rank_columns())
+@example(arr=np.array([[1.0]]))
+@example(arr=np.array([[0.5]]))
+@example(arr=np.array([[1.0, 0.5], [0.5, 0.25]]))
+def test_rank_grid_check_matches_per_column_loop(arr):
+    try:
+        rank_grid_check_loops(arr)
+    except InvalidParam as exc:
+        with pytest.raises(InvalidParam) as info:
+            PseudoObs(arr)
+        assert str(info.value) == str(exc)
+    else:
+        assert np.array_equal(PseudoObs(arr).values, arr)
 
 
 def test_chi_matrix_validation():

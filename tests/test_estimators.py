@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tailclust import (
+    ChiMatrix,
     DegenerateMadogram,
     DimensionMismatch,
     EmptySubset,
@@ -255,6 +256,12 @@ def test_tau_theory_validation():
         tau_theory(5, 1, 5)
 
 
+def chi_to_csv_per_cell(chi, names, clip=False):
+    vals = np.clip(chi.values, 0.0, 1.0) if clip else chi.values
+    rows = [",".join(format(float(v), ".17g") for v in row) for row in vals]
+    return "\n".join([",".join(names), *rows]) + "\n"
+
+
 def test_chi_to_csv_round_trip(rng):
     p = random_pobs(rng, 12, 3)
     chi = chi_matrix(p)
@@ -263,6 +270,18 @@ def test_chi_to_csv_round_trip(rng):
     assert lines[0] == "x,y,z"
     parsed = np.array([[float(c) for c in row.split(",")] for row in lines[1:]])
     assert np.array_equal(parsed, chi.values)  # 17 digits reproduce doubles exactly
+
+
+def test_chi_to_csv_matches_per_cell_format(rng):
+    # negative, tiny and round values, with and without clipping
+    for k, d in ((3, 4), (12, 9), (200, 30)):
+        chi = chi_matrix(random_pobs(rng, k, d))
+        names = tuple(f"c{j}" for j in range(d))
+        for clip in (False, True):
+            assert chi_to_csv(chi, names, clip) == chi_to_csv_per_cell(chi, names, clip)
+    odd = ChiMatrix(np.array([[1.0, 1e-300, -0.5], [1e-300, 1.0, 0.1], [-0.5, 0.1, 1.0]]), k=10)
+    for clip in (False, True):
+        assert chi_to_csv(odd, "abc", clip) == chi_to_csv_per_cell(odd, "abc", clip)
 
 
 def test_chi_to_csv_clip():

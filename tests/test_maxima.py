@@ -2,16 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tailclust import (
     BlockTooLarge,
     InvalidParam,
+    MaximaMatrix,
     SeriesMatrix,
     block_maxima,
     pseudo_obs,
 )
 
 from conftest import pobs_of
+
+
+def pseudo_obs_loops(x):
+    """Ranks / k one column at a time: a searchsorted per column."""
+    k = x.shape[0]
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        srt = np.sort(col)
+        if k >= 2 and srt[0] == srt[-1]:
+            raise InvalidParam(
+                f"column {j} has the same block maximum in all {k} blocks; "
+                "its ranks carry no information"
+            )
+        out[:, j] = np.searchsorted(srt, col, side="right")
+    out /= k
+    return out
 
 
 def test_block_maxima_hand_case():
@@ -97,3 +118,33 @@ def test_pseudo_obs_rejects_constant_column(rng):
 def test_pseudo_obs_range(rng):
     p = pobs_of(rng.standard_cauchy((50, 3)))
     assert (p.values > 0).all() and (p.values <= 1).all()
+
+
+# mostly a handful of values, so columns are tie-heavy and often constant;
+# sometimes a wide range, so tie-free columns occur too
+_maxima = arrays(
+    np.int64,
+    st.tuples(st.integers(1, 40), st.integers(1, 8)),
+    elements=st.integers(-2, 3) | st.integers(-10**6, 10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_maxima)
+@example(x=np.array([[4]]))
+@example(x=np.array([[4, 1, 0]]))
+@example(x=np.array([[4, 1], [4, 2]]))
+@example(x=np.array([[1, 2], [4, 2]]))
+@example(x=np.array([[3, 3], [1, 3]]))
+@example(x=np.array([[2, 7, 7], [2, 7, 7], [1, 7, 7]]))
+def test_pseudo_obs_matches_per_column_searchsorted(x):
+    x = x.astype(float)
+    maxima = MaximaMatrix(x, block_length=1, source_length=x.shape[0])
+    try:
+        expected = pseudo_obs_loops(x)
+    except InvalidParam as exc:
+        with pytest.raises(InvalidParam) as info:
+            pseudo_obs(maxima)
+        assert str(info.value) == str(exc)
+    else:
+        assert np.array_equal(pseudo_obs(maxima).values, expected)
