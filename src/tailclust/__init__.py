@@ -6,124 +6,17 @@ tau_theory or select_threshold providing the clustering threshold, and
 simulate/experiments reproducing the reference simulation studies.
 """
 
-from .cluster import ThresholdScan, default_grid, eco_cluster, scan_to_csv, select_threshold
-from .competitors import hc_cluster, madogram_dissimilarity, skmeans_cluster
-from .core import (
-    BlockTooLarge,
-    ChiMatrix,
-    CoverageError,
-    DegenerateMadogram,
-    DimensionMismatch,
-    EmptyGrid,
-    EmptyGroupError,
-    EmptySubset,
-    IncompatibleDimension,
-    IndexOutOfRange,
-    InvalidAlpha,
-    InvalidG,
-    InvalidParam,
-    MalformedInput,
-    MaximaMatrix,
-    OverlapError,
-    Partition,
-    PseudoObs,
-    SeriesMatrix,
-    TailclustError,
-    canonicalize,
-    is_subpartition,
-    partition_from_json,
-    partition_to_json,
-    partitions_equal,
-)
-from .estimators import (
-    SubsetMadogram,
-    ThetaEstimate,
-    chi_matrix,
-    chi_to_csv,
-    extremal_coefficient,
-    madogram,
-    meco,
-    seco,
-    tau_theory,
-)
-from .experiments import (
-    ExperimentConfig,
-    ResultRow,
-    exact_recovery_rate,
-    results_to_csv,
-    run_experiment,
-)
-from .maxima import block_maxima, pseudo_obs
-from .simulate import (
-    NestedModel,
-    RepetitionConfig,
-    build_experiment_model,
-    repetition_process,
-    sample_logistic_ev,
-    sample_nested,
-    sample_outer_power_clayton,
-    sample_positive_stable,
-)
+from . import cluster, competitors, core, estimators, experiments, maxima, simulate
+from .cluster import *
+from .competitors import *
+from .core import *
+from .estimators import *
+from .experiments import *
+from .maxima import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BlockTooLarge",
-    "ChiMatrix",
-    "CoverageError",
-    "DegenerateMadogram",
-    "DimensionMismatch",
-    "EmptyGrid",
-    "EmptyGroupError",
-    "EmptySubset",
-    "ExperimentConfig",
-    "IncompatibleDimension",
-    "IndexOutOfRange",
-    "InvalidAlpha",
-    "InvalidG",
-    "InvalidParam",
-    "MalformedInput",
-    "MaximaMatrix",
-    "NestedModel",
-    "OverlapError",
-    "Partition",
-    "PseudoObs",
-    "RepetitionConfig",
-    "ResultRow",
-    "SeriesMatrix",
-    "SubsetMadogram",
-    "TailclustError",
-    "ThetaEstimate",
-    "ThresholdScan",
-    "block_maxima",
-    "build_experiment_model",
-    "canonicalize",
-    "chi_matrix",
-    "chi_to_csv",
-    "default_grid",
-    "eco_cluster",
-    "exact_recovery_rate",
-    "extremal_coefficient",
-    "hc_cluster",
-    "is_subpartition",
-    "madogram",
-    "madogram_dissimilarity",
-    "meco",
-    "partition_from_json",
-    "partition_to_json",
-    "partitions_equal",
-    "pseudo_obs",
-    "repetition_process",
-    "results_to_csv",
-    "run_experiment",
-    "sample_logistic_ev",
-    "sample_nested",
-    "sample_outer_power_clayton",
-    "sample_positive_stable",
-    "scan_to_csv",
-    "seco",
-    "select_threshold",
-    "skmeans_cluster",
-    "tau_theory",
-]
+# each public name is listed once, in its own module's __all__
+_MODULES = (cluster, competitors, core, estimators, experiments, maxima, simulate)
+__all__ = ["__version__", *sorted({name for m in _MODULES for name in m.__all__})]

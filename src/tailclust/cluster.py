@@ -22,7 +22,7 @@ from .core import (
     InvalidParam,
     Partition,
     PseudoObs,
-    canonicalize,
+    _from_labels,
 )
 from .estimators import extremal_coefficient, madogram, tau_theory
 
@@ -53,11 +53,7 @@ def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
         raise InvalidParam("tau must be a nonnegative real")
     if chi.k < 2:
         raise InvalidParam("clustering needs at least 2 blocks; lower the block size")
-    labels = kernels.eco_labels(chi.values, float(tau), chi.pair_order)
-    groups: dict[int, list[int]] = {}
-    for var, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(var)
-    return canonicalize(groups.values(), chi.d)
+    return _from_labels(kernels.eco_labels(chi.values, float(tau), chi.pair_order))
 
 
 @dataclass(frozen=True)

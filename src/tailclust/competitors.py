@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidG, InvalidParam, Partition, PseudoObs, canonicalize
+from .core import InvalidG, InvalidParam, Partition, PseudoObs, _from_labels
 
 __all__ = ["madogram_dissimilarity", "hc_cluster", "skmeans_cluster"]
 
@@ -55,9 +55,8 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
     # clusters' rows and columns of dist hold inf, so up needs no alive mask
     up = dist.copy()
     up[np.tril_indices(d)] = np.inf
-    alive = np.ones(d, dtype=bool)
     sizes = np.ones(d)
-    members: list[list[int]] = [[j] for j in range(d)]
+    labels = np.arange(d)
     # positions stay sorted by smallest member: a merge keeps the smaller
     # position, so a row-major argmin scan is the lexicographic tie-break
     for _ in range(d - g):
@@ -67,15 +66,14 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
         dist[:, i] = new
         dist[i, i] = np.inf
         sizes[i] += sizes[j]
-        alive[j] = False
         dist[j] = np.inf
         dist[:, j] = np.inf
-        members[i].extend(members[j])
+        labels[labels == j] = i
         up[i, i + 1:] = dist[i, i + 1:]
         up[:i, i] = dist[:i, i]
         up[j] = np.inf
         up[:, j] = np.inf
-    return canonicalize((members[i] for i in np.flatnonzero(alive)), d)
+    return _from_labels(labels)
 
 
 def skmeans_cluster(
@@ -112,8 +110,7 @@ def skmeans_cluster(
             best_obj = obj
             best_labels = labels
     assert best_labels is not None
-    groups = [np.flatnonzero(best_labels == c) for c in range(g)]
-    return canonicalize(([int(i) for i in grp] for grp in groups if grp.size), d)
+    return _from_labels(best_labels)
 
 
 def _one_skmeans_run(x: np.ndarray, g: int, rng: np.random.Generator):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,6 +108,21 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C", copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _memo(obj, name: str, compute) -> np.ndarray:
+    """compute() once per object, kept read-only in its instance dict.
+
+    A plain dict entry, because the functools cached property decorator
+    takes one lock for all instances on Python 3.11: two threads could not
+    fill the memos of two different objects at once.
+    """
+    value = obj.__dict__.get(name)
+    if value is None:
+        value = compute()
+        value.flags.writeable = False
+        obj.__dict__[name] = value
+    return value
 
 
 def _default_names(d: int) -> tuple[str, ...]:
@@ -217,17 +231,9 @@ class PseudoObs:
         """sum_i |U[i, a] - U[i, b]| for every pair, computed once per instance.
 
         A read-only d x d array (kernels.pairwise_abs_diff_sums) that
-        chi_matrix and madogram_dissimilarity share. The memo sits in the
-        instance dict, not behind functools.cached_property, whose lock is
-        shared by all instances on Python 3.11 and would serialise the
-        kernel across threads.
+        chi_matrix and madogram_dissimilarity share.
         """
-        sums = self.__dict__.get("_abs_diff_sums")
-        if sums is None:
-            sums = kernels.pairwise_abs_diff_sums(self.values)
-            sums.flags.writeable = False
-            self.__dict__["_abs_diff_sums"] = sums
-        return sums
+        return _memo(self, "_abs_diff_sums", lambda: kernels.pairwise_abs_diff_sums(self.values))
 
 
 @dataclass(frozen=True)
@@ -249,9 +255,9 @@ class ChiMatrix:
             raise InvalidParam("chi matrix must be symmetric")
         if not (np.diagonal(arr) == 1.0).all():
             raise InvalidParam("chi matrix diagonal must be exactly 1")
-        off = arr[~np.eye(arr.shape[0], dtype=bool)]
+        # the unit diagonal lies inside [3 - 2k, 1]: no mask is needed
         lo = 3.0 - 2.0 * self.k
-        if off.size and (off.min() < lo - 1e-9 or off.max() > 1.0 + 1e-9):
+        if arr.min() < lo - 1e-9 or arr.max() > 1.0 + 1e-9:
             raise InvalidParam(f"off-diagonal chi outside [{lo}, 1]")
         object.__setattr__(self, "values", arr)
 
@@ -259,14 +265,14 @@ class ChiMatrix:
     def d(self) -> int:
         return self.values.shape[0]
 
-    @cached_property
+    @property
     def pair_order(self) -> np.ndarray:
         """Pairs a < b by descending chi, ties in row-major order; sorted once.
 
         A read-only 2 x d(d-1)/2 int array (kernels.pair_order) that every
         eco_cluster call on this matrix shares.
         """
-        return kernels.pair_order(self.values)
+        return _memo(self, "_pair_order", lambda: kernels.pair_order(self.values))
 
 
 @dataclass(frozen=True)
@@ -320,30 +326,40 @@ class Partition:
 def canonicalize(groups: Iterable[Iterable[int]], d: int) -> Partition:
     """Sort group members and order groups by smallest member; validate.
 
-    Raises OverlapError for a duplicated index, CoverageError when the union
-    is not all of {0, ..., d-1}, EmptyGroupError for an empty group, and
-    IndexOutOfRange for indices outside the domain.
+    Raises EmptyGroupError for an empty group, IndexOutOfRange for indices
+    outside the domain, OverlapError for a duplicated index, and
+    CoverageError when the union is not all of {0, ..., d-1}. An input with
+    several of these faults raises one of them.
     """
     if d < 1:
         raise InvalidParam("d must be positive")
     cleaned = []
-    seen: set[int] = set()
     for g in groups:
         members = sorted(int(i) for i in g)
-        if not members:
-            raise EmptyGroupError("empty group")
         for idx in members:
             if idx < 0 or idx >= d:
                 raise IndexOutOfRange(f"index {idx} outside 0..{d - 1}")
-            if idx in seen:
-                raise OverlapError(f"index {idx} appears in more than one group")
-            seen.add(idx)
         cleaned.append(tuple(members))
-    if len(seen) != d:
-        missing = sorted(set(range(d)) - seen)
-        raise CoverageError(f"indices {missing[:5]} not covered")
-    cleaned.sort(key=lambda g: g[0])
-    return Partition(tuple(cleaned))
+    # disjoint groups sort by their smallest member; Partition rejects empty
+    # groups, overlaps and gaps, which leaves only a short cover to check
+    part = Partition(tuple(sorted(cleaned))) if cleaned else None
+    covered = part.d if part else 0
+    if covered != d:
+        raise CoverageError(f"indices {list(range(covered, d))[:5]} not covered")
+    return part
+
+
+def _from_labels(labels) -> Partition:
+    """The partition whose groups are the sets of variables sharing a label.
+
+    Any int labels work, negative or with gaps: a stable argsort lists each
+    label's variables in index order, a label change starts a new group,
+    and disjoint groups sort by their smallest member.
+    """
+    order = np.argsort(labels, kind="stable")
+    srt = np.asarray(labels)[order]
+    groups = np.split(order, np.flatnonzero(srt[1:] != srt[:-1]) + 1)
+    return Partition(tuple(sorted(tuple(g.tolist()) for g in groups)))
 
 
 def _check_same_d(a: Partition, b: Partition) -> None:

@@ -21,7 +21,12 @@ from .competitors import hc_cluster, madogram_dissimilarity, skmeans_cluster
 from .core import DimensionMismatch, InvalidParam, Partition, partitions_equal
 from .estimators import chi_matrix, seco, tau_theory
 from .maxima import block_maxima, pseudo_obs
-from .simulate import RepetitionConfig, build_experiment_model, repetition_process
+from .simulate import (
+    RepetitionConfig,
+    _check_layout,
+    build_experiment_model,
+    repetition_process,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -31,7 +36,6 @@ __all__ = [
     "results_to_csv",
 ]
 
-_EXPERIMENTS = ("E1", "E2", "E3")
 _FRAMEWORKS = ("F1", "F2", "F3")
 
 
@@ -56,14 +60,17 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise InvalidParam(f"experiment must be one of {_EXPERIMENTS}")
+        _check_layout(self.experiment, self.d)
         if self.framework not in _FRAMEWORKS:
             raise InvalidParam(f"framework must be one of {_FRAMEWORKS}")
         if self.reps < 1:
             raise InvalidParam("reps must be positive")
         if not 0.0 < self.p <= 1.0:
             raise InvalidParam("p must lie in (0, 1]")
+        if not self.beta >= 1.0:
+            raise InvalidParam("beta must be at least 1")
+        if self.include_competitors and self.skm_restarts < 1:
+            raise InvalidParam("restarts must be positive")
         if self.threads < 1:
             raise InvalidParam("threads must be positive")
         if self.framework == "F1" and not self.m_grid:
@@ -152,12 +159,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """
     grid_param, grid_values = cfg.grid()
     tasks = [(gi, value, ri) for gi, value in enumerate(grid_values) for ri in range(cfg.reps)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_one_rep, cfg, gi, value, ri) for gi, value, ri in tasks]
-            results = [f.result() for f in futures]
-    else:
-        results = [_one_rep(cfg, gi, value, ri) for gi, value, ri in tasks]
+    # map cancels the replications not yet started once one of them raises
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = list(pool.map(lambda task: _one_rep(cfg, *task), tasks))
 
     algorithms = ("ECO", "HC", "SKM") if cfg.include_competitors else ("ECO",)
     rows = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BlockTooLarge, InvalidParam, MaximaMatrix, PseudoObs, SeriesMatrix
+from .core import InvalidParam, MaximaMatrix, PseudoObs, SeriesMatrix
 
 __all__ = ["block_maxima", "pseudo_obs"]
 
@@ -18,9 +18,7 @@ def block_maxima(series: SeriesMatrix, m: int) -> MaximaMatrix:
     if m < 1:
         raise InvalidParam("block length must be a positive integer")
     n, d = series.n, series.d
-    k = n // m
-    if k < 1:
-        raise BlockTooLarge(f"block length {m} exceeds series length {n}")
+    k = n // m  # k = 0 gives an empty matrix, which MaximaMatrix rejects
     vals = series.values[: k * m].reshape(k, m, d).max(axis=1)
     return MaximaMatrix(vals, block_length=m, source_length=n)
 

@@ -28,7 +28,7 @@ from .core import (
     InvalidParam,
     Partition,
     SeriesMatrix,
-    canonicalize,
+    _from_labels,
 )
 
 __all__ = [
@@ -77,12 +77,7 @@ class NestedModel:
 
     def partition(self) -> Partition:
         """Ground-truth grouping of the contiguous layout."""
-        groups = []
-        start = 0
-        for size in self.group_sizes:
-            groups.append(range(start, start + size))
-            start += size
-        return canonicalize(groups, start)
+        return _from_labels(np.repeat(np.arange(len(self.group_sizes)), self.group_sizes))
 
 
 @dataclass(frozen=True)
@@ -138,13 +133,9 @@ def sample_outer_power_clayton(
     Marshall-Olkin scheme: V = Gamma^beta * S with Gamma ~ Gamma(1/theta, 1)
     and S ~ stable(1/beta), then U_j = (1 + (E_j / V)^(1/beta))^(-1/theta)
     for iid unit exponentials E_j. beta = 1 recovers the Clayton copula.
+    This is the nested model with one group at beta_g = beta0 = beta.
     """
-    _check_copula_params(theta, beta, dim, n)
-    gam = rng.gamma(1.0 / theta, 1.0, size=n)
-    s = sample_positive_stable(1.0 / beta, rng, size=n)
-    v = gam**beta * s
-    e = rng.exponential(1.0, size=(n, dim))
-    return (1.0 + (e / v[:, None]) ** (1.0 / beta)) ** (-1.0 / theta)
+    return sample_nested(NestedModel(theta, beta, (beta,), (dim,)), n, rng)
 
 
 def sample_nested(model: NestedModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,19 +174,13 @@ def sample_logistic_ev(
     coefficient on any subset of size p is p^(1/beta); beta = 1 gives
     independence.
     """
-    _check_copula_params(1.0, beta, dim, n)
-    v = sample_positive_stable(1.0 / beta, rng, size=n)
-    e = rng.exponential(1.0, size=(n, dim))
-    return np.exp(-((e / np.asarray(v)[:, None]) ** (1.0 / beta)))
-
-
-def _check_copula_params(theta: float, beta: float, dim: int, n: int) -> None:
-    if not theta > 0.0:
-        raise InvalidParam("theta must be positive")
     if not beta >= 1.0:
         raise InvalidParam("beta must be at least 1")
     if dim < 1 or n < 1:
         raise InvalidParam("dim and n must be positive")
+    v = sample_positive_stable(1.0 / beta, rng, size=n)
+    e = rng.exponential(1.0, size=(n, dim))
+    return np.exp(-((e / np.asarray(v)[:, None]) ** (1.0 / beta)))
 
 
 def repetition_process(cfg: RepetitionConfig, rng: np.random.Generator) -> SeriesMatrix:
@@ -234,22 +219,13 @@ def build_experiment_model(
     (asymptotically independent blocks of size one). All layouts use
     theta = 1 and beta0 = 1.
     """
+    _check_layout(experiment, d)
     if experiment == "E1":
-        if d < 2 or d % 2:
-            raise IncompatibleDimension("E1 needs an even d >= 2")
         sizes = (d // 2, d // 2)
     elif experiment == "E2":
-        if d < 5:
-            raise IncompatibleDimension("E2 needs d >= 5")
         sizes = _nonempty_multinomial(d, rng)
-    elif experiment == "E3":
-        if d < 10:
-            raise IncompatibleDimension(
-                "E3 needs d >= 10 (five multinomial blocks on d-5 plus five singletons)"
-            )
-        sizes = _nonempty_multinomial(d - 5, rng) + (1,) * 5
     else:
-        raise InvalidParam(f"unknown experiment {experiment!r}")
+        sizes = _nonempty_multinomial(d - 5, rng) + (1,) * 5
     model = NestedModel(
         theta=1.0,
         beta0=1.0,
@@ -257,6 +233,23 @@ def build_experiment_model(
         group_sizes=sizes,
     )
     return model, model.partition()
+
+
+def _check_layout(experiment: str, d: int) -> None:
+    """Reject an unknown experiment, or a d its layout cannot split."""
+    if experiment == "E1":
+        if d < 2 or d % 2:
+            raise IncompatibleDimension("E1 needs an even d >= 2")
+    elif experiment == "E2":
+        if d < 5:
+            raise IncompatibleDimension("E2 needs d >= 5")
+    elif experiment == "E3":
+        if d < 10:
+            raise IncompatibleDimension(
+                "E3 needs d >= 10 (five multinomial blocks on d-5 plus five singletons)"
+            )
+    else:
+        raise InvalidParam(f"unknown experiment {experiment!r}")
 
 
 def _nonempty_multinomial(d: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ seeds with tolerances several standard errors wide, so every line below is
 reproducible bit for bit.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -345,3 +346,40 @@ def test_criterion_11_seeded_commands_are_byte_identical(tmp_path):
         assert rc == 0
         arts.append(b"".join(paths[kind].read_bytes() for kind in ("part", "chi", "scan")))
     assert arts[0] == arts[1]
+
+
+GOLDEN_SHA256 = {
+    "sim.csv": "9827c3ddd4064fb12c6187899ce016a9a1348a940080545e5d637e9a7e9103d9",
+    "part.json": "daec2b2deda5b9a8d86cbda8a62125e42eb6bca3f2b630b79f825f597d6d1205",
+    "chi.csv": "0b41eb7695af7e5f37e0ad57be8dd45e94a0c131436ace603b895ec844862c66",
+    "scan.csv": "797d11d1a59ed5d3a4739a8061e7dc5391df162807c7ee2c0bedcc4434ec812a",
+    "exp.csv": "e6693096a510146be30efcb07f0f983a7e83815187cf2cc51c90e08bddefe708",
+    "e3_f2.csv": "5481bcb16db2a48d46c40e76e3bc1b9285f76bc2b4fe31d0a28e3ccca9a857bb",
+    "e1_f3.csv": "f1ec096d6982aecc8137b04fcf704f55a6a1d582e62e8b7fa17b369867d68265",
+}
+
+
+def test_criterion_12_seeded_outputs_match_golden_digests(tmp_path):
+    """The seeded acceptance commands reproduce their recorded bytes (numpy 2.4)."""
+    path = {name: str(tmp_path / name) for name in GOLDEN_SHA256}
+    commands = [
+        ["simulate", "--experiment", "E2", "--d", "60", "--n", "10000", "--p", "0.9",
+         "--seed", "7", "--out", path["sim.csv"]],
+        ["cluster", "--input", path["sim.csv"], "--block-size", "20", "--auto-tau",
+         "--out-partition", path["part.json"], "--out-chi", path["chi.csv"],
+         "--out-scan", path["scan.csv"]],
+        ["experiment", "--experiment", "E2", "--framework", "F1", "--d", "30",
+         "--reps", "4", "--seed", "3", "--out", path["exp.csv"]],
+        ["experiment", "--experiment", "E3", "--framework", "F2", "--d", "40",
+         "--reps", "3", "--seed", "5", "--competitors", "--threads", "2",
+         "--out", path["e3_f2.csv"]],
+        ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "20",
+         "--reps", "3", "--seed", "2", "--competitors", "--out", path["e1_f3.csv"]],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256

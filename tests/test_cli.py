@@ -284,10 +284,18 @@ def test_experiment_flag_errors(tmp_path, capsys):
         ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
          "--reps", "0", "--out", out],
         ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4"],
+        # rejected by the config before any simulation starts
+        ["experiment", "--experiment", "E2", "--framework", "F1", "--d", "3", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "9", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--beta", "0.5", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--competitors", "--skm-restarts", "0", "--out", out],
     ]
     for argv in bad:
         assert main(argv) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.csv").exists()
 
 
 # ---------------------------------------------------------------------------

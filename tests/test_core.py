@@ -1,10 +1,14 @@
 """Domain types, partition algebra, and serialization."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tailclust
 from tailclust import (
     ChiMatrix,
     CoverageError,
@@ -18,14 +22,16 @@ from tailclust import (
     PseudoObs,
     SeriesMatrix,
     canonicalize,
+    chi_matrix,
     is_subpartition,
     partition_from_json,
     partition_to_json,
     partitions_equal,
 )
-from tailclust.core import MalformedInput
+from tailclust import cluster, competitors, core, estimators, experiments, kernels, maxima, simulate
+from tailclust.core import MalformedInput, TailclustError, _from_labels
 
-from conftest import random_partition
+from conftest import random_partition, random_pobs
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,41 @@ def test_chi_matrix_validation():
         ChiMatrix(good, k=0)
 
 
+@pytest.mark.parametrize(
+    "kernel, instances, read",
+    [
+        (
+            "pair_order",
+            lambda rng: [chi_matrix(random_pobs(rng, 6, 3)) for _ in range(2)],
+            lambda chi: chi.pair_order,
+        ),
+        (
+            "pairwise_abs_diff_sums",
+            lambda rng: [random_pobs(rng, 6, 3) for _ in range(2)],
+            lambda pobs: pobs.abs_diff_sums,
+        ),
+    ],
+    ids=["pair_order", "abs_diff_sums"],
+)
+def test_memos_of_two_instances_fill_concurrently(monkeypatch, rng, kernel, instances, read):
+    objs = instances(rng)
+    original = getattr(kernels, kernel)
+    barrier = threading.Barrier(2, timeout=2)
+
+    def waiting(values):
+        # returns only once both threads are inside the kernel at once
+        barrier.wait()
+        return original(values)
+
+    monkeypatch.setattr(kernels, kernel, waiting)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(read, obj) for obj in objs]
+        memos = [f.result(timeout=10) for f in futures]
+    for obj, memo in zip(objs, memos):
+        assert np.array_equal(memo, original(obj.values))
+        assert read(obj) is memo and not memo.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -192,6 +233,133 @@ def test_canonicalize_idempotent(rng):
         part = random_partition(rng, int(rng.integers(1, 9)))
         again = canonicalize(part.groups, part.d)
         assert again.groups == part.groups
+
+
+def canonicalize_loop(groups, d):
+    """canonicalize with its own overlap and coverage bookkeeping, one index at a time."""
+    if d < 1:
+        raise InvalidParam("d must be positive")
+    cleaned = []
+    seen = set()
+    for g in groups:
+        members = sorted(int(i) for i in g)
+        if not members:
+            raise EmptyGroupError("empty group")
+        for idx in members:
+            if idx < 0 or idx >= d:
+                raise IndexOutOfRange(f"index {idx} outside 0..{d - 1}")
+            if idx in seen:
+                raise OverlapError(f"index {idx} appears in more than one group")
+            seen.add(idx)
+        cleaned.append(tuple(members))
+    if len(seen) != d:
+        missing = sorted(set(range(d)) - seen)
+        raise CoverageError(f"indices {missing[:5]} not covered")
+    cleaned.sort(key=lambda g: g[0])
+    return Partition(tuple(cleaned))
+
+
+def _faults(groups, d):
+    """The error classes an input to canonicalize deserves, one per fault it has."""
+    members = [i for g in groups for i in g]
+    faults = set()
+    if any(not g for g in groups):
+        faults.add(EmptyGroupError)
+    if any(not 0 <= i < d for i in members):
+        faults.add(IndexOutOfRange)
+    if len(set(members)) != len(members):
+        faults.add(OverlapError)
+    if not set(range(d)) <= set(members):
+        faults.add(CoverageError)
+    return faults
+
+
+@st.composite
+def _groups_and_d(draw):
+    """A partition of range(d), in any order, with up to three faults put in."""
+    d = draw(st.integers(-1, 6))
+    labels = draw(st.lists(st.integers(0, 3), min_size=max(d, 0), max_size=max(d, 0)))
+    groups = [
+        list(draw(st.permutations([i for i in range(d) if labels[i] == lab])))
+        for lab in draw(st.permutations(sorted(set(labels))))
+    ]
+    for fault in draw(st.lists(st.sampled_from(("empty", "outside", "overlap", "gap")), max_size=3)):
+        members = [i for g in groups for i in g]
+        if fault == "empty":
+            groups.insert(draw(st.integers(0, len(groups))), [])
+        elif fault == "outside":
+            pos = draw(st.integers(0, len(groups)))
+            if pos == len(groups):
+                groups.append([])
+            groups[pos].append(draw(st.sampled_from((-2, -1, d, d + 1))))
+        elif fault == "overlap" and members:
+            groups[draw(st.integers(0, len(groups) - 1))].append(draw(st.sampled_from(members)))
+        elif fault == "gap" and members:
+            victim = draw(st.sampled_from(members))
+            groups = [h for h in ([i for i in g if i != victim] for g in groups) if h]
+    return groups, d
+
+
+def _outcome(fn, groups, d):
+    try:
+        return fn(groups, d)
+    except TailclustError as exc:
+        return exc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_groups_and_d())
+@example(case=([[0, 1], [1, 2]], 3))
+@example(case=([[0], [2]], 3))
+@example(case=([[0, 1], []], 2))
+@example(case=([[0, 5]], 2))
+@example(case=([[-1, 0]], 1))
+@example(case=([], 2))
+@example(case=([[1, 0]], 3))
+def test_canonicalize_matches_the_bookkeeping_loop(case):
+    groups, d = case
+    expect = _outcome(canonicalize_loop, groups, d)
+    got = _outcome(canonicalize, groups, d)
+    faults = _faults(groups, d)
+    if d < 1:
+        assert type(got) is type(expect) is InvalidParam
+    elif not faults:
+        assert got == expect
+    elif len(faults) == 1:
+        assert type(got) is type(expect) and type(got) in faults
+        if isinstance(got, IndexOutOfRange):
+            assert str(got) == str(expect)
+    else:
+        # several faults: each side may name a different one of them
+        assert type(got) in faults and type(expect) in faults
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_from_labels_groups_equal_labels(labels):
+    groups = {}
+    for idx, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(idx)
+    expect = canonicalize(groups.values(), len(labels))
+    assert _from_labels(labels) == expect
+    assert _from_labels(np.array(labels, dtype=np.int64)) == expect
+
+
+def test_package_exports_each_module_name_once():
+    modules = (cluster, competitors, core, estimators, experiments, maxima, simulate)
+    union = {name for module in modules for name in module.__all__}
+    assert sum(len(module.__all__) for module in modules) == len(union)
+    assert len(tailclust.__all__) == len(set(tailclust.__all__))
+    assert set(tailclust.__all__) == {"__version__"} | union
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(tailclust, name) is getattr(module, name)
 
 
 def test_partition_constructor_enforces_canonical_form():

@@ -1,5 +1,7 @@
 """Experiment harness: configs, the replication grid, and CSV aggregation."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tailclust import (
     results_to_csv,
     run_experiment,
 )
+from tailclust import experiments
 
 
 def tiny_cfg(**overrides):
@@ -118,6 +121,23 @@ def test_run_experiment_thread_count_does_not_change_results():
     cfg1 = tiny_cfg(include_competitors=True, skm_restarts=2, threads=1)
     cfg4 = tiny_cfg(include_competitors=True, skm_restarts=2, threads=4)
     assert results_to_csv(run_experiment(cfg1)) == results_to_csv(run_experiment(cfg4))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_experiment_stops_after_a_failed_replication(monkeypatch, threads):
+    started = []
+
+    def failing(cfg, gi, value, ri):
+        started.append((gi, ri))
+        if (gi, ri) == (0, 0):
+            raise RuntimeError("replication failed")
+        time.sleep(0.05)  # releases the lock, so the failure is seen mid-run
+        return {"ECO": (True, None, 0.0)}
+
+    monkeypatch.setattr(experiments, "_one_rep", failing)
+    with pytest.raises(RuntimeError, match="replication failed"):
+        run_experiment(tiny_cfg(reps=20, threads=threads))
+    assert len(started) < 10  # of 40 replications
 
 
 def test_run_experiment_rerun_is_byte_identical():

@@ -67,7 +67,7 @@ def test_block_maxima_errors():
     series = SeriesMatrix(np.ones((4, 1)))
     with pytest.raises(InvalidParam):
         block_maxima(series, 0)
-    with pytest.raises(BlockTooLarge):
+    with pytest.raises(BlockTooLarge, match="^block length 5 exceeds series length 4$"):
         block_maxima(series, 5)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tailclust import (
@@ -98,6 +100,31 @@ def test_nested_degenerates_to_outer_power_clayton():
     a = sample_nested(model, 300, np.random.default_rng(9))
     b = sample_outer_power_clayton(1.0, 2.0, 4, 300, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def outer_power_clayton_direct(theta, beta, dim, n, rng):
+    """The flat Marshall-Olkin sampler, written without the nested model."""
+    gam = rng.gamma(1.0 / theta, 1.0, size=n)
+    s = sample_positive_stable(1.0 / beta, rng, size=n)
+    v = gam**beta * s
+    e = rng.exponential(1.0, size=(n, dim))
+    return (1.0 + (e / v[:, None]) ** (1.0 / beta)) ** (-1.0 / theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.05, 20.0),
+    beta=st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+    dim=st.integers(1, 6),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clayton_is_bit_identical_to_the_direct_sampler(theta, beta, dim, n, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    u = sample_outer_power_clayton(theta, beta, dim, n, rng)
+    expect = outer_power_clayton_direct(theta, beta, dim, n, oracle_rng)
+    assert u.shape == expect.shape and u.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_nested_shapes_and_validation():
