@@ -9,6 +9,7 @@ depend on the thread count.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,14 +19,14 @@ import numpy as np
 
 from .cluster import default_grid, eco_cluster
 from .competitors import hc_cluster, madogram_dissimilarity, skmeans_cluster
-from .core import DimensionMismatch, InvalidParam, Partition, partitions_equal
+from .core import BlockTooLarge, DimensionMismatch, InvalidParam, Partition, partitions_equal
 from .estimators import chi_matrix, seco, tau_theory
-from .maxima import block_maxima, pseudo_obs
+from .maxima import pseudo_obs
 from .simulate import (
     RepetitionConfig,
     _check_layout,
     build_experiment_model,
-    repetition_process,
+    repetition_block_maxima,
 )
 
 __all__ = [
@@ -73,10 +74,23 @@ class ExperimentConfig:
             raise InvalidParam("restarts must be positive")
         if self.threads < 1:
             raise InvalidParam("threads must be positive")
-        if self.framework == "F1" and not self.m_grid:
-            raise InvalidParam("F1 needs a nonempty m grid")
-        if self.framework == "F2" and not self.k_grid:
-            raise InvalidParam("F2 needs a nonempty k grid")
+        # every replication clusters, and clustering needs at least 2 blocks
+        if self.framework == "F1":
+            if not self.m_grid:
+                raise InvalidParam("F1 needs a nonempty m grid")
+            for m in self.m_grid:
+                _check_block_count(m, self.n)
+        elif self.framework == "F2":
+            if not self.k_grid:
+                raise InvalidParam("F2 needs a nonempty k grid")
+            if self.m < 1:
+                raise InvalidParam("block length must be a positive integer")
+            if min(self.k_grid) < 2:
+                raise InvalidParam("every k grid value must be at least 2 blocks")
+        else:
+            _check_block_count(self.m, self.n)
+            if not all(math.isfinite(tau) and tau >= 0.0 for tau in self.tau_grid):
+                raise InvalidParam("every tau grid value must be finite and nonnegative")
 
     def grid(self) -> tuple[str, tuple]:
         """Name and values of the active framework grid."""
@@ -86,6 +100,14 @@ class ExperimentConfig:
             return "k", tuple(self.k_grid)
         taus = self.tau_grid or tuple(default_grid(self.m, self.d, self.n // self.m))
         return "tau", taus
+
+
+def _check_block_count(m: int, n: int) -> None:
+    """Reject a block length m that leaves fewer than 2 blocks of n steps."""
+    if m < 1:
+        raise InvalidParam("block length must be a positive integer")
+    if n // m < 2:
+        raise BlockTooLarge(f"block length {m} leaves fewer than 2 blocks of series length {n}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +147,8 @@ def _one_rep(cfg: ExperimentConfig, gi: int, value, ri: int) -> dict:
         m, n = cfg.m, cfg.m * int(value)
     else:
         m, n = cfg.m, cfg.n
-    series = repetition_process(RepetitionConfig(p=cfg.p, n=n, model=model), rng)
-    pobs = pseudo_obs(block_maxima(series, m))
+    maxima = repetition_block_maxima(RepetitionConfig(p=cfg.p, n=n, model=model), m, rng)
+    pobs = pseudo_obs(maxima)
     k = n // m
 
     out = {}

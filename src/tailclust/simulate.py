@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BlockTooLarge,
     IncompatibleDimension,
     InvalidAlpha,
     InvalidParam,
+    MaximaMatrix,
     Partition,
     SeriesMatrix,
     _from_labels,
@@ -39,6 +41,7 @@ __all__ = [
     "sample_nested",
     "sample_logistic_ev",
     "repetition_process",
+    "repetition_block_maxima",
     "build_experiment_model",
 ]
 
@@ -148,21 +151,38 @@ def sample_nested(model: NestedModel, n: int, rng: np.random.Generator) -> np.nd
     """
     if n < 1:
         raise InvalidParam("n must be positive")
+    out = np.empty((n, model.d))
+    for beta_g, cols, x in _frailty_ratios(model, n, rng):
+        out[:, cols] = _clayton_margin(x, beta_g, model.theta)
+    return out
+
+
+def _frailty_ratios(model: NestedModel, n: int, rng: np.random.Generator):
+    """Yield (beta_g, column slice, E / V_g) per group, in generator order.
+
+    Every draw of the nested model is made here, so sample_nested and
+    repetition_block_maxima consume the generator identically. The caller
+    must exhaust the iterator before drawing anything else.
+    """
     theta, beta0 = model.theta, model.beta0
     gam = rng.gamma(1.0 / theta, 1.0, size=n)
     s0 = sample_positive_stable(1.0 / beta0, rng, size=n)
     v0 = gam**beta0 * s0
-    out = np.empty((n, model.d))
     start = 0
     for beta_g, size in zip(model.group_betas, model.group_sizes):
         s_g = sample_positive_stable(beta0 / beta_g, rng, size=n)
         v_g = v0 ** (beta_g / beta0) * s_g
-        e = rng.exponential(1.0, size=(n, size))
-        out[:, start : start + size] = (
-            1.0 + (e / v_g[:, None]) ** (1.0 / beta_g)
-        ) ** (-1.0 / theta)
+        # the same draws as rng.exponential(1.0, ...), whose only extra work
+        # is an exact multiply by the unit scale
+        x = rng.standard_exponential(size=(n, size))
+        x /= v_g[:, None]
+        yield beta_g, slice(start, start + size), x
         start += size
-    return out
+
+
+def _clayton_margin(x: np.ndarray, beta: float, theta: float) -> np.ndarray:
+    """U = (1 + X^(1/beta))^(-1/theta), a decreasing map of X = E / V."""
+    return (1.0 + x ** (1.0 / beta)) ** (-1.0 / theta)
 
 
 def sample_logistic_ev(
@@ -191,18 +211,81 @@ def repetition_process(cfg: RepetitionConfig, rng: np.random.Generator) -> Serie
     indicators first, then all needed innovations in one batch, and expands
     by cumulative indexing. margins='frechet' maps u to -1/log(u).
     """
-    n = cfg.n
-    if cfg.p >= 1.0 or n == 1:
-        vals = sample_nested(cfg.model, n, rng)
+    rows = _refresh_rows(cfg, rng)
+    if rows is None:
+        vals = sample_nested(cfg.model, cfg.n, rng)
     else:
-        fresh = rng.random(n - 1) < cfg.p
-        rows = np.concatenate([[0], np.cumsum(fresh)])
-        innov = sample_nested(cfg.model, int(rows[-1]) + 1, rng)
-        vals = innov[rows]
+        vals = sample_nested(cfg.model, int(rows[-1]) + 1, rng)[rows]
     if cfg.margins == "frechet":
-        # u == 1.0 can occur by rounding; nudge below 1 so -1/log stays finite
-        vals = -1.0 / np.log(np.minimum(vals, np.nextafter(1.0, 0.0)))
+        vals = _frechet(vals)
     return SeriesMatrix(vals)
+
+
+def repetition_block_maxima(
+    cfg: RepetitionConfig, m: int, rng: np.random.Generator
+) -> MaximaMatrix:
+    """block_maxima(repetition_process(cfg, rng), m) without the n x d series.
+
+    Same generator calls in the same order, same bits out. The series is
+    never built: per group, each block's minimum of X = E / V_g is taken
+    over the innovations the block covers, and the margin map is applied to
+    the k x size minima only. u = (1 + x^(1/beta_g))^(-1/theta) is
+    decreasing in x, so the largest u of a block is the map of its smallest
+    x; the Frechet map -1/log(u) is increasing, so it commutes with the
+    maximum. Both hold bit for bit as long as the floating-point maps are
+    monotone as well, which the property tests check.
+    """
+    if m < 1:
+        raise InvalidParam("block length must be a positive integer")
+    n = cfg.n
+    k = n // m
+    if k < 1:
+        raise BlockTooLarge(f"block length {m} exceeds series length {n}")
+    rows = _refresh_rows(cfg, rng)
+    if rows is None:
+        n_innov = n
+
+        def block_min(x):
+            return x[: k * m].reshape(k, m, -1).min(axis=1)
+
+    else:
+        n_innov = int(rows[-1]) + 1
+        # rows never decreases, so block b covers the innovations
+        # starts[b] ..= rows[(b + 1) * m - 1]; that end is either
+        # starts[b + 1] - 1, or starts[b + 1] itself when the step opening
+        # block b + 1 repeats, which reduceat leaves out
+        starts = rows[: k * m : m]
+        end = int(rows[k * m - 1]) + 1
+        shared = np.flatnonzero(rows[m - 1 : k * m - 1 : m] == starts[1:])
+
+        def block_min(x):
+            mn = np.minimum.reduceat(x[:end], starts, axis=0)
+            mn[shared] = np.minimum(mn[shared], x[starts[shared + 1]])
+            return mn
+
+    out = np.empty((k, cfg.model.d))
+    for beta_g, cols, x in _frailty_ratios(cfg.model, n_innov, rng):
+        out[:, cols] = _clayton_margin(block_min(x), beta_g, cfg.model.theta)
+    if cfg.margins == "frechet":
+        out = _frechet(out)
+    return MaximaMatrix(out, block_length=m, source_length=n)
+
+
+def _refresh_rows(cfg: RepetitionConfig, rng: np.random.Generator) -> np.ndarray | None:
+    """Innovation index of each of the n steps, or None if every step is fresh.
+
+    Draws the n - 1 refresh indicators; p = 1 or n = 1 draws nothing.
+    """
+    if cfg.p >= 1.0 or cfg.n == 1:
+        return None
+    fresh = rng.random(cfg.n - 1) < cfg.p
+    return np.concatenate([[0], np.cumsum(fresh)])
+
+
+def _frechet(u: np.ndarray) -> np.ndarray:
+    """Unit Frechet margins -1/log(u), increasing in u."""
+    # u == 1.0 can occur by rounding; nudge below 1 so -1/log stays finite
+    return -1.0 / np.log(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
 _MULTINOMIAL_WEIGHTS = (0.5, 0.25, 0.125, 0.0625, 0.0625)

@@ -264,11 +264,19 @@ def test_experiment_timings_column_is_opt_in(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_experiment_runtime_failure_exits_three(tmp_path, capsys):
+def test_experiment_runtime_failure_exits_three(tmp_path, capsys, monkeypatch):
+    from tailclust import InvalidParam, experiments
+
+    def failing(cfg, gi, value, ri):
+        raise InvalidParam("replication failed")
+
+    # a typed error raised inside a replication is a runtime failure, not a
+    # flag error: the config passed its checks before any simulation began
+    monkeypatch.setattr(experiments, "_one_rep", failing)
     out = tmp_path / "res.csv"
     argv = [
         "experiment", "--experiment", "E1", "--framework", "F2", "--d", "4",
-        "--reps", "1", "--m", "10", "--k-grid", "0", "--out", str(out),
+        "--reps", "1", "--m", "10", "--k-grid", "20", "--out", str(out),
     ]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: experiment failed")
@@ -291,6 +299,25 @@ def test_experiment_flag_errors(tmp_path, capsys):
          "--beta", "0.5", "--out", out],
         ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
          "--competitors", "--skm-restarts", "0", "--out", out],
+        # grid values of the active framework
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--m-grid", "0", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--m-grid", "20000", "--n", "1000", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--m-grid", "10,1000", "--n", "1000", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "4",
+         "--tau-grid", "-1", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "4",
+         "--tau-grid", "0.5,nan", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "4",
+         "--m", "0", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F2", "--d", "4",
+         "--k-grid", "0", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F2", "--d", "4",
+         "--k-grid", "50,1", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F2", "--d", "4",
+         "--m", "0", "--out", out],
     ]
     for argv in bad:
         assert main(argv) == 2

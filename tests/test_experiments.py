@@ -1,11 +1,13 @@
 """Experiment harness: configs, the replication grid, and CSV aggregation."""
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from tailclust import (
+    BlockTooLarge,
     DimensionMismatch,
     ExperimentConfig,
     InvalidParam,
@@ -16,7 +18,7 @@ from tailclust import (
     results_to_csv,
     run_experiment,
 )
-from tailclust import experiments
+from tailclust import core, experiments, simulate
 
 
 def tiny_cfg(**overrides):
@@ -55,6 +57,36 @@ def test_config_validation():
         tiny_cfg(m_grid=())
     with pytest.raises(InvalidParam):
         tiny_cfg(framework="F2", k_grid=())
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (dict(m_grid=(10, 0)), InvalidParam),
+        (dict(m_grid=(-3,)), InvalidParam),
+        (dict(m_grid=(10, 20_000)), BlockTooLarge),
+        (dict(m_grid=(1_001,)), BlockTooLarge),  # one block of 2000 steps
+        (dict(framework="F2", k_grid=(0,)), InvalidParam),
+        (dict(framework="F2", k_grid=(50, 1)), InvalidParam),
+        (dict(framework="F2", m=0, k_grid=(50,)), InvalidParam),
+        (dict(framework="F3", tau_grid=(0.1, -1.0)), InvalidParam),
+        (dict(framework="F3", tau_grid=(float("nan"),)), InvalidParam),
+        (dict(framework="F3", tau_grid=(float("inf"),)), InvalidParam),
+        (dict(framework="F3", m=0), InvalidParam),
+        (dict(framework="F3", m=1_500), BlockTooLarge),
+    ],
+)
+def test_config_checks_the_active_grid(overrides, error):
+    with pytest.raises(error):
+        tiny_cfg(**overrides)
+
+
+def test_config_ignores_the_inactive_grids():
+    # only the framework's own grid is run, so only it is checked
+    tiny_cfg(framework="F1", k_grid=(0,), tau_grid=(-1.0,), m=0)
+    tiny_cfg(framework="F2", m=10, m_grid=(0,), tau_grid=(-1.0,))
+    tiny_cfg(framework="F3", m=10, m_grid=(0,), k_grid=(0,), tau_grid=(0.0, 0.5))
+    tiny_cfg(m_grid=(1, 1_000))  # the bounds: 2000 and 2 blocks
 
 
 def test_config_grid_dispatch():
@@ -138,6 +170,43 @@ def test_run_experiment_stops_after_a_failed_replication(monkeypatch, threads):
     with pytest.raises(RuntimeError, match="replication failed"):
         run_experiment(tiny_cfg(reps=20, threads=threads))
     assert len(started) < 10  # of 40 replications
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(p=0.6),
+        dict(framework="F2", m=10, k_grid=(30,), p=0.8, include_competitors=True, skm_restarts=2),
+        dict(framework="F3", n=1_000, m=10, tau_grid=(0.3,)),
+    ],
+    ids=["F1", "F2", "F3"],
+)
+def test_a_replication_never_builds_the_series(monkeypatch, overrides):
+    calls = {"SeriesMatrix": 0, "repetition_process": 0}
+    validate = core.SeriesMatrix.__post_init__
+    process = simulate.repetition_process
+
+    def counted_validate(self):
+        calls["SeriesMatrix"] += 1
+        validate(self)
+
+    def counted_process(*args, **kwargs):
+        calls["repetition_process"] += 1
+        return process(*args, **kwargs)
+
+    monkeypatch.setattr(core.SeriesMatrix, "__post_init__", counted_validate)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tailclust" and getattr(module, "repetition_process", None) is process:
+            monkeypatch.setattr(module, "repetition_process", counted_process)
+    rows = run_experiment(tiny_cfg(reps=2, **overrides))
+    assert rows
+    assert calls == {"SeriesMatrix": 0, "repetition_process": 0}
+    # the counters do count: the simulate command's path still builds one
+    simulate.repetition_process(
+        simulate.RepetitionConfig(p=0.5, n=10, model=simulate.NestedModel(1.0, 1.0, (1.5,), (2,))),
+        np.random.default_rng(0),
+    )
+    assert calls == {"SeriesMatrix": 1, "repetition_process": 1}
 
 
 def test_run_experiment_rerun_is_byte_identical():

@@ -1,5 +1,7 @@
 """Copula samplers, the repetition process, and experiment model layouts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,10 @@ from tailclust import (
     InvalidParam,
     NestedModel,
     RepetitionConfig,
+    TailclustError,
+    block_maxima,
     build_experiment_model,
+    repetition_block_maxima,
     repetition_process,
     sample_logistic_ev,
     sample_nested,
@@ -222,6 +227,62 @@ def test_repetition_config_validation():
         RepetitionConfig(p=0.5, n=0, model=model)
     with pytest.raises(InvalidParam):
         RepetitionConfig(p=0.5, n=10, model=model, margins="pareto")
+
+
+# ---------------------------------------------------------------------------
+# block maxima sampled without the series
+
+
+_LAYOUT_D = {"E1": (2, 16, 2), "E2": (5, 20, 1), "E3": (10, 24, 1)}
+
+
+@st.composite
+def repetition_cases(draw):
+    experiment = draw(st.sampled_from(sorted(_LAYOUT_D)))
+    lo, hi, step = _LAYOUT_D[experiment]
+    d = draw(st.integers(lo // step, hi // step)) * step
+    n = draw(st.one_of(st.just(1), st.integers(1, 300)))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, min(n, 30)), st.integers(1, n)))
+    return dict(
+        experiment=experiment,
+        d=d,
+        beta=draw(st.one_of(st.just(1.0), st.floats(1.0, 5.0))),
+        theta=draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0))),
+        p=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
+        n=n,
+        m=m,
+        margins=draw(st.sampled_from(["uniform", "frechet"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=repetition_cases())
+def test_block_maxima_sampler_is_bit_identical_to_maxima_of_the_series(case):
+    # equality rests on the margin map being monotone in floating point, so
+    # a pow or log that is not would show up here as a mismatch
+    rng, twin = np.random.default_rng(case["seed"]), np.random.default_rng(case["seed"])
+    model, _ = build_experiment_model(case["experiment"], case["d"], case["beta"], rng)
+    build_experiment_model(case["experiment"], case["d"], case["beta"], twin)
+    model = dataclasses.replace(model, theta=case["theta"])
+    cfg = RepetitionConfig(p=case["p"], n=case["n"], model=model, margins=case["margins"])
+    got = repetition_block_maxima(cfg, case["m"], rng)
+    expect = block_maxima(repetition_process(cfg, twin), case["m"])
+    assert np.array_equal(got.values, expect.values)
+    assert (got.block_length, got.source_length) == (expect.block_length, expect.source_length)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [0.4, 1.0])
+@pytest.mark.parametrize("m", [0, -3, 11, 50])
+def test_block_maxima_sampler_rejects_block_lengths_as_block_maxima_does(p, m):
+    cfg = RepetitionConfig(p=p, n=10, model=_tiny_model())
+    with pytest.raises(TailclustError) as got:
+        repetition_block_maxima(cfg, m, np.random.default_rng(1))
+    with pytest.raises(TailclustError) as expect:
+        block_maxima(repetition_process(cfg, np.random.default_rng(1)), m)
+    assert type(got.value) is type(expect.value)
+    assert str(got.value) == str(expect.value)
 
 
 # ---------------------------------------------------------------------------
