@@ -159,6 +159,14 @@ class SeriesMatrix:
         return self.values.shape[1]
 
 
+def _check_block_length(m: int, n: int) -> None:
+    """Reject a block length m that is not positive or exceeds n steps."""
+    if m < 1:
+        raise InvalidParam("block length must be a positive integer")
+    if n // m < 1:
+        raise BlockTooLarge(f"block length {m} exceeds series length {n}")
+
+
 @dataclass(frozen=True)
 class MaximaMatrix:
     """Component-wise maxima over k disjoint blocks of length m."""
@@ -172,10 +180,9 @@ class MaximaMatrix:
         m, n = self.block_length, self.source_length
         if arr.ndim != 2:
             raise InvalidParam("maxima must form a 2-D matrix")
-        if m < 1 or n < 1:
-            raise InvalidParam("block and source lengths must be positive")
-        if n // m < 1:
-            raise BlockTooLarge(f"block length {m} exceeds series length {n}")
+        if n < 1:
+            raise InvalidParam("source length must be positive")
+        _check_block_length(m, n)
         if arr.shape[0] != n // m:
             raise DimensionMismatch(
                 f"expected k = floor({n}/{m}) = {n // m} rows, got {arr.shape[0]}"

@@ -19,7 +19,14 @@ import numpy as np
 
 from .cluster import default_grid, eco_cluster
 from .competitors import hc_cluster, madogram_dissimilarity, skmeans_cluster
-from .core import BlockTooLarge, DimensionMismatch, InvalidParam, Partition, partitions_equal
+from .core import (
+    BlockTooLarge,
+    DimensionMismatch,
+    InvalidParam,
+    Partition,
+    _check_block_length,
+    partitions_equal,
+)
 from .estimators import chi_matrix, seco, tau_theory
 from .maxima import pseudo_obs
 from .simulate import (
@@ -79,16 +86,16 @@ class ExperimentConfig:
             if not self.m_grid:
                 raise InvalidParam("F1 needs a nonempty m grid")
             for m in self.m_grid:
-                _check_block_count(m, self.n)
+                _check_two_blocks(m, self.n)
         elif self.framework == "F2":
             if not self.k_grid:
                 raise InvalidParam("F2 needs a nonempty k grid")
-            if self.m < 1:
-                raise InvalidParam("block length must be a positive integer")
             if min(self.k_grid) < 2:
                 raise InvalidParam("every k grid value must be at least 2 blocks")
+            # grid point k simulates k * m steps
+            _check_block_length(self.m, self.m * min(self.k_grid))
         else:
-            _check_block_count(self.m, self.n)
+            _check_two_blocks(self.m, self.n)
             if not all(math.isfinite(tau) and tau >= 0.0 for tau in self.tau_grid):
                 raise InvalidParam("every tau grid value must be finite and nonnegative")
 
@@ -102,10 +109,9 @@ class ExperimentConfig:
         return "tau", taus
 
 
-def _check_block_count(m: int, n: int) -> None:
+def _check_two_blocks(m: int, n: int) -> None:
     """Reject a block length m that leaves fewer than 2 blocks of n steps."""
-    if m < 1:
-        raise InvalidParam("block length must be a positive integer")
+    _check_block_length(m, n)
     if n // m < 2:
         raise BlockTooLarge(f"block length {m} leaves fewer than 2 blocks of series length {n}")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidParam, MaximaMatrix, PseudoObs, SeriesMatrix
+from .core import InvalidParam, MaximaMatrix, PseudoObs, SeriesMatrix, _check_block_length
 
 __all__ = ["block_maxima", "pseudo_obs"]
 
@@ -15,10 +15,9 @@ def block_maxima(series: SeriesMatrix, m: int) -> MaximaMatrix:
     The trailing remainder of length n - k*m is discarded. With m = 1 the
     output equals the input series.
     """
-    if m < 1:
-        raise InvalidParam("block length must be a positive integer")
     n, d = series.n, series.d
-    k = n // m  # k = 0 gives an empty matrix, which MaximaMatrix rejects
+    _check_block_length(m, n)
+    k = n // m
     vals = series.values[: k * m].reshape(k, m, d).max(axis=1)
     return MaximaMatrix(vals, block_length=m, source_length=n)
 
