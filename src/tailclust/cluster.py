@@ -22,6 +22,7 @@ from .core import (
     InvalidParam,
     Partition,
     PseudoObs,
+    _check_blocks,
     _from_labels,
 )
 from .estimators import extremal_coefficient, madogram, tau_theory
@@ -51,8 +52,7 @@ def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
     """
     if not tau >= 0.0:
         raise InvalidParam("tau must be a nonnegative real")
-    if chi.k < 2:
-        raise InvalidParam("clustering needs at least 2 blocks; lower the block size")
+    _check_blocks(chi.k)
     return _from_labels(kernels.eco_labels(chi.values, float(tau), chi.pair_order))
 
 

@@ -29,12 +29,8 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
     Merge ties are broken toward the lexicographically smallest pair of
     clusters, clusters being identified by their smallest member. The
     unweighted average update keeps cluster distances equal to the mean of
-    all cross pairs.
-
-    Each merge is one whole-matrix argmin over a d x d copy that keeps the
-    strict upper triangle of the live distances and inf everywhere else; a
-    merge refreshes only the two rows and columns it changed, so no mask is
-    rebuilt per merge.
+    all cross pairs. The distances are read from the upper triangle of
+    dissim, which must be finite, symmetric and zero on the diagonal.
     """
     dissim = np.asarray(dissim, dtype=float)
     if dissim.ndim != 2 or dissim.shape[0] != dissim.shape[1]:
@@ -42,6 +38,8 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
     d = dissim.shape[0]
     if not 1 <= g <= d:
         raise InvalidG(f"g = {g} outside 1..{d}")
+    if not np.isfinite(dissim).all():
+        raise InvalidParam("dissimilarities must be finite")
     if not np.allclose(dissim, dissim.T):
         raise InvalidParam("dissimilarity matrix must be symmetric")
     if np.diagonal(dissim).any():
@@ -49,18 +47,18 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
     if dissim.min() < 0.0:
         raise InvalidParam("dissimilarities must be nonnegative")
 
-    dist = dissim.copy()
+    # exactly symmetric, so the first row-major minimum (i, j) has i < j and
+    # is the lexicographically smallest minimal pair; merged clusters' rows
+    # and columns hold inf, so no alive mask is needed
+    dist = np.triu(dissim)
+    dist += dist.T
     np.fill_diagonal(dist, np.inf)
-    # up holds dist on the strict upper triangle and inf elsewhere; merged
-    # clusters' rows and columns of dist hold inf, so up needs no alive mask
-    up = dist.copy()
-    up[np.tril_indices(d)] = np.inf
     sizes = np.ones(d)
     labels = np.arange(d)
     # positions stay sorted by smallest member: a merge keeps the smaller
-    # position, so a row-major argmin scan is the lexicographic tie-break
+    # position, so the row-major argmin is the lexicographic tie-break
     for _ in range(d - g):
-        i, j = divmod(int(np.argmin(up)), d)
+        i, j = divmod(int(np.argmin(dist)), d)
         new = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
         dist[i] = new
         dist[:, i] = new
@@ -69,10 +67,6 @@ def hc_cluster(dissim: np.ndarray, g: int) -> Partition:
         dist[j] = np.inf
         dist[:, j] = np.inf
         labels[labels == j] = i
-        up[i, i + 1:] = dist[i, i + 1:]
-        up[:i, i] = dist[:i, i]
-        up[j] = np.inf
-        up[:, j] = np.inf
     return _from_labels(labels)
 
 

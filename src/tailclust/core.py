@@ -167,6 +167,12 @@ def _check_block_length(m: int, n: int) -> None:
         raise BlockTooLarge(f"block length {m} exceeds series length {n}")
 
 
+def _check_blocks(k: int) -> None:
+    """Reject a single block: at k = 1 every chi is 1 and every madogram 0."""
+    if k < 2:
+        raise InvalidParam("need at least 2 blocks; lower the block size")
+
+
 @dataclass(frozen=True)
 class MaximaMatrix:
     """Component-wise maxima over k disjoint blocks of length m."""

@@ -28,6 +28,7 @@ from .core import (
     InvalidParam,
     Partition,
     PseudoObs,
+    _check_blocks,
 )
 
 __all__ = [
@@ -123,8 +124,10 @@ def seco(pobs: PseudoObs, partition: Partition) -> float:
 
     Exactly zero for the single-group partition; the population value is
     zero precisely when the grouping is at least as coarse as the true
-    asymptotically independent blocks, and positive otherwise.
+    asymptotically independent blocks, and positive otherwise. A single
+    block (k = 1) makes every madogram 0 and is rejected, as in eco_cluster.
     """
+    _check_blocks(pobs.k)
     if partition.d != pobs.d:
         raise DimensionMismatch(
             f"partition over {partition.d} variables, pseudo-observations have {pobs.d}"

@@ -1,8 +1,8 @@
 """Hot numeric kernels of the pipeline, one vectorized numpy body each.
 
 pairwise_abs_diff_sums feeds the madogram chi matrix, one numpy reduction
-per column a and cache-sized tile of partner columns b; subset_gap_sum
-feeds the SECO criterion; pair_order sorts the pairs of a chi matrix once,
+per column a over all of its partner columns b > a; subset_gap_sum feeds
+the SECO criterion; pair_order sorts the pairs of a chi matrix once,
 and eco_labels runs greedy ECO clustering for one threshold as a
 forward-only sweep over that order, so a threshold scan shares one sort.
 The test suite pins each kernel against a plain-loop oracle.
@@ -22,43 +22,27 @@ __all__ = [
     "eco_labels",
 ]
 
-# pairwise_abs_diff_sums works on tiles of at most this many float64 (256 KB):
-# three tiles stay cache-resident, and the scratch memory does not grow with d
-_TILE_ELEMS = 1 << 15
-
 # first window of the skip over dead pairs in eco_labels; doubles on a miss
 _SKIP_WINDOW = 32
 
 
 def pairwise_abs_diff_sums(u):
     """Symmetric d x d matrix of sum_i |u[i, a] - u[i, b]|, zero diagonal."""
-    k, d = u.shape
+    d = u.shape[1]
     out = np.zeros((d, d))
-    w = max(1, min(d, _TILE_ELEMS // max(k, 1)))
-    right = np.empty((w, k))
-    left = np.empty((w, k))
-    buf = np.empty((w, k))
-    for lo in range(1, d, w):
-        hi = min(lo + w, d)
-        # columns lo..hi-1 of u as contiguous rows, paired with every a < hi
-        rt = right[: hi - lo]
-        rt[...] = u[:, lo:hi].T
-        for alo in range(0, hi - 1, w):
-            ahi = min(alo + w, hi - 1)
-            lt = left[: ahi - alo]
-            lt[...] = u[:, alo:ahi].T
-            for a in range(alo, ahi):
-                start = max(lo, a + 1)
-                diff = buf[: hi - start]
-                np.subtract(rt[start - lo:], lt[a - alo], out=diff)
-                np.abs(diff, out=diff)
-                # each pair (a, b) is one contiguous length-k reduction along
-                # axis 1: the summation tree depends only on k, so relabeling
-                # columns permutes the result bit for bit and it equals a
-                # per-pair 1-D .sum()
-                s = diff.sum(axis=1)
-                out[a, start:hi] = s
-                out[start:hi, a] = s
+    # column j of u as contiguous row j, and one buffer for a's partners
+    ut = np.ascontiguousarray(u.T)
+    buf = np.empty_like(ut[1:])
+    for a in range(d - 1):
+        diff = buf[a:]
+        np.subtract(ut[a + 1:], ut[a], out=diff)
+        np.abs(diff, out=diff)
+        # each pair (a, b) is one contiguous length-k reduction along axis 1:
+        # the summation tree depends only on k, so relabeling columns
+        # permutes the result bit for bit and it equals a per-pair 1-D .sum()
+        s = diff.sum(axis=1)
+        out[a, a + 1:] = s
+        out[a + 1:, a] = s
     return out
 
 

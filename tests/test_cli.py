@@ -366,6 +366,19 @@ def test_seco_errors(noise_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_seco_rejects_a_single_block(tmp_path, capsys):
+    data = tmp_path / "four.csv"
+    write_csv(data, np.random.default_rng(5).random((4, 2)), ("x", "y"))
+    part = tmp_path / "p.json"
+    part.write_text('{"clusters": [["x"], ["y"]]}')
+    for m in ("3", "4"):  # k = 1
+        assert main(["seco", "--input", str(data), "--block-size", m,
+                     "--partition", str(part)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # round trip and wiring
 

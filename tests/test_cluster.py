@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailclust import (
     ChiMatrix,
@@ -139,6 +141,40 @@ def test_relabeling_equivariance_tie_free(rng):
         base = eco_cluster(chi, tau)
         relabeled = canonicalize([[int(np.flatnonzero(perm == i)[0]) for i in g] for g in base.groups], d)
         assert partitions_equal(eco_cluster(permuted, tau), relabeled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 25),
+    rounded=st.booleans(),
+    tau_from_chi=st.booleans(),
+)
+def test_every_group_has_a_seed_pair(seed, d, rounded, tau_from_chi):
+    # each non-singleton group holds a pair (a, b) with chi(a, b) > tau and
+    # min(chi(a, s), chi(b, s)) >= tau for every member s
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-0.2, 1.0, size=(d, d))
+    if rounded:
+        raw = np.round(raw, 1)  # heavy ties
+    chi = chi_of(raw)
+    vals = chi.values
+    off = vals[np.triu_indices(d, k=1)]
+    off = off[off >= 0.0]
+    if tau_from_chi and off.size:
+        # a tau equal to a chi value sits on the boundary of both tests
+        tau = float(rng.choice(off))
+    else:
+        tau = float(rng.uniform(0.0, 1.0))
+    for g in eco_cluster(chi, tau).groups:
+        if len(g) == 1:
+            continue
+        sub = vals[np.ix_(g, g)]
+        assert any(
+            sub[i, j] > tau and np.minimum(sub[i], sub[j]).min() >= tau
+            for i in range(len(g))
+            for j in range(i + 1, len(g))
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,12 @@ def test_hc_merge_tie_breaks_lexicographically():
     dis[2, 3] = dis[3, 2] = 0.1
     np.fill_diagonal(dis, 0.0)
     assert hc_cluster(dis, 3).groups == ((0, 1), (2,), (3,))
+    # symmetric within tolerance, but the lower entry (2, 0) is smaller: the
+    # distances are read from the upper triangle, where (0, 1) ties (0, 2)
+    dis = np.full((3, 3), 0.5)
+    np.fill_diagonal(dis, 0.0)
+    dis[2, 0] -= 1e-12
+    assert hc_cluster(dis, 2).groups == ((0, 1), (2,)) == hc_cluster_loops(dis, 2).groups
 
 
 def test_hc_group_count_and_determinism(rng):
@@ -274,6 +280,15 @@ def test_hc_validation(rng):
         hc_cluster(dis + np.eye(3), 2)
     with pytest.raises(InvalidParam):
         hc_cluster(dis - 0.5, 2)
+    # non-finite entries fail before the symmetry check
+    far = np.full((3, 3), np.inf)
+    np.fill_diagonal(far, 0.0)
+    with pytest.raises(InvalidParam, match="finite"):
+        hc_cluster(far, 1)
+    bad = dis.copy()
+    bad[0, 2] = np.nan
+    with pytest.raises(InvalidParam, match="finite"):
+        hc_cluster(bad, 2)
 
 
 # ---------------------------------------------------------------------------

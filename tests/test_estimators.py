@@ -199,6 +199,13 @@ def test_seco_comonotone_singletons_hand_value(rng):
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_seco_rejects_a_single_block(rng):
+    # at k = 1 every madogram is 0, so the SECO would be n_groups - 1
+    p = random_pobs(rng, 1, 3)
+    with pytest.raises(InvalidParam, match="2 blocks"):
+        seco(p, canonicalize([[0], [1], [2]], 3))
+
+
 def test_seco_dimension_mismatch(rng):
     with pytest.raises(DimensionMismatch):
         seco(random_pobs(rng, 10, 3), canonicalize([[0, 1]], 2))

@@ -140,9 +140,12 @@ def test_eco_label_paths_agree_exactly(rng):
         assert np.array_equal(eco_labels_loops(chi, tau), labels)
 
 
-@pytest.mark.parametrize("k, d", [(2, 9), (129, 9), (997, 70), (3333, 40)])
+@pytest.mark.parametrize(
+    "k, d", [(2, 9), (129, 9), (997, 70), (3333, 40), (5, 1), (1, 3), (40000, 3)]
+)
 def test_pairwise_matches_per_pair_sums_bit_for_bit(rng, k, d):
-    # the last two sizes span several 2**15-element tiles of columns
+    # short and long reductions (k = 1 to 40000; numpy's pairwise summation
+    # splits blocks of more than 128 terms), wide inputs, and d = 1 with no pairs
     u = rng.random((k, d))
     assert np.array_equal(kernels.pairwise_abs_diff_sums(u), pairwise_pair_sums(u))
     # a column-major input (a transposed view) gives the same bits
