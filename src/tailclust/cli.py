@@ -15,6 +15,7 @@ import numpy as np
 
 from .cluster import eco_cluster, scan_to_csv, select_threshold
 from .core import (
+    InvalidParam,
     MalformedInput,
     SeriesMatrix,
     TailclustError,
@@ -97,6 +98,10 @@ def cmd_cluster(args) -> int:
                 raise MalformedInput(f"--{flag.replace('_', '-')} requires --auto-tau")
         if args.out_scan:
             raise MalformedInput("--out-scan requires --auto-tau")
+    elif args.grid_n is not None and args.grid_n < 1:
+        raise MalformedInput("--grid-n must be positive")
+    elif any(b is not None and b < 0.0 for b in (args.grid_lo, args.grid_hi)):
+        raise InvalidParam("grid values must be nonnegative")
     series = _read_series(args.input)
     maxima = block_maxima(series, args.block_size)
     pobs = pseudo_obs(maxima)
@@ -109,8 +114,6 @@ def cmd_cluster(args) -> int:
         lo = 0.1 * tau0 if args.grid_lo is None else args.grid_lo
         hi = 2.5 * tau0 if args.grid_hi is None else args.grid_hi
         n = 41 if args.grid_n is None else args.grid_n
-        if n < 1:
-            raise MalformedInput("--grid-n must be positive")
         grid = [float(t) for t in np.unique(np.linspace(lo, hi, n))]
         scan = select_threshold(pobs, chi, grid)
         part = eco_cluster(chi, scan.selected)
@@ -133,9 +136,10 @@ def cmd_simulate(args) -> int:
     try:
         series = repetition_process(cfg, rng)
         names = series.names
+        # one % per row; each cell formats exactly as _fmt does
+        row_fmt = ",".join(["%.17g"] * series.d)
         lines = [",".join(names)]
-        for row in series.values:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines.extend(row_fmt % tuple(row) for row in series.values.tolist())
         _write(args.out, "\n".join(lines) + "\n")
         meta = {
             "experiment": args.experiment,

@@ -222,13 +222,19 @@ class PseudoObs:
             raise InvalidParam("pseudo-observations must form a nonempty 2-D matrix")
         if not ((arr > 0.0) & (arr <= 1.0)).all():
             raise InvalidParam("pseudo-observations must lie in (0, 1]")
+        # a column whose every entry is some i/k holds k values out of the k
+        # grid points: it is the grid if tie-free, and valid if tied. Only
+        # the other columns are sorted, to find the tie-free ones.
         k = arr.shape[0]
-        srt = np.sort(arr, axis=0)
-        tie_free = (srt[1:] != srt[:-1]).all(axis=0)
-        off_grid = (srt != (np.arange(1, k + 1) / k)[:, None]).any(axis=0)
-        bad = np.flatnonzero(tie_free & off_grid)
-        if bad.size:
-            raise InvalidParam(f"column {int(bad[0])} is tie-free but is not the rank grid")
+        snapped = arr * k
+        np.rint(snapped, out=snapped)
+        snapped /= k
+        off_grid = np.flatnonzero((snapped != arr).any(axis=0))
+        if off_grid.size:
+            srt = np.sort(arr[:, off_grid], axis=0)
+            bad = off_grid[(srt[1:] != srt[:-1]).all(axis=0)]
+            if bad.size:
+                raise InvalidParam(f"column {int(bad[0])} is tie-free but is not the rank grid")
         object.__setattr__(self, "values", arr)
 
     @property

@@ -120,11 +120,19 @@ def sample_positive_stable(alpha: float, rng: np.random.Generator, size=None):
     u = rng.uniform(0.0, np.pi, size=1 if scalar else size)
     e = rng.exponential(1.0, size=1 if scalar else size)
     ratio = (1.0 - alpha) / alpha
-    s = (
-        np.sin(alpha * u)
-        * np.sin((1.0 - alpha) * u) ** ratio
-        / np.sin(u) ** (1.0 / alpha)
-    ) * e ** (-ratio)
+    # the product above, left to right, in place: the same operations in
+    # the same order, so the same bits as the one-expression form
+    s = np.multiply(alpha, u)
+    np.sin(s, out=s)
+    t = np.multiply(1.0 - alpha, u)
+    np.sin(t, out=t)
+    t **= ratio
+    s *= t
+    np.sin(u, out=t)
+    t **= 1.0 / alpha
+    s /= t
+    e **= -ratio
+    s *= e
     return float(s[0]) if scalar else s
 
 
@@ -168,10 +176,14 @@ def _frailty_ratios(model: NestedModel, n: int, rng: np.random.Generator):
     gam = rng.gamma(1.0 / theta, 1.0, size=n)
     s0 = sample_positive_stable(1.0 / beta0, rng, size=n)
     v0 = gam**beta0 * s0
+    powers = {}  # V0^(beta_g/beta0) per distinct exponent; groups often share one
     start = 0
     for beta_g, size in zip(model.group_betas, model.group_sizes):
         s_g = sample_positive_stable(beta0 / beta_g, rng, size=n)
-        v_g = v0 ** (beta_g / beta0) * s_g
+        r = beta_g / beta0
+        if r not in powers:
+            powers[r] = v0**r
+        v_g = powers[r] * s_g
         # the same draws as rng.exponential(1.0, ...), whose only extra work
         # is an exact multiply by the unit scale
         x = rng.standard_exponential(size=(n, size))
@@ -239,34 +251,31 @@ def repetition_block_maxima(
     _check_block_length(m, n)
     k = n // m
     rows = _refresh_rows(cfg, rng)
-    if rows is None:  # every step fresh: no block shares an innovation
+    if rows is None:  # every step draws its own innovation
         rows = np.arange(n)
-    n_innov = int(rows[-1]) + 1
-    # rows never decreases, so block b covers the innovations
-    # starts[b] ..= rows[(b + 1) * m - 1]; that end is either
-    # starts[b + 1] - 1, or starts[b + 1] itself when the step opening
-    # block b + 1 repeats, which reduceat leaves out
-    starts = rows[: k * m : m]
-    end = int(rows[k * m - 1]) + 1
-    shared = np.flatnonzero(rows[m - 1 : k * m - 1 : m] == starts[1:])
+    # step t of the series is innovation rows[t]; block b is steps b*m .. (b+1)*m - 1
+    steps = rows[: k * m]
     out = np.empty((k, cfg.model.d))
-    for beta_g, cols, x in _frailty_ratios(cfg.model, n_innov, rng):
+    for beta_g, cols, x in _frailty_ratios(cfg.model, int(rows[-1]) + 1, rng):
         # the minima are a temporary, freed before the next group draws;
         # holding them in a loop variable measured slower
-        out[:, cols] = _clayton_margin(
-            _block_minima(x, starts, end, shared), beta_g, cfg.model.theta
-        )
+        out[:, cols] = _clayton_margin(_block_minima(x, steps, m), beta_g, cfg.model.theta)
     if cfg.margins == "frechet":
         out = _frechet(out)
     return MaximaMatrix(out, block_length=m, source_length=n)
 
 
-def _block_minima(
-    x: np.ndarray, starts: np.ndarray, end: int, shared: np.ndarray
-) -> np.ndarray:
-    """Per-block column minima of the innovations x[starts[b]] ..= the block's end."""
-    mn = np.minimum.reduceat(x[:end], starts, axis=0)
-    mn[shared] = np.minimum(mn[shared], x[starts[shared + 1]])
+def _block_minima(x: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:
+    """Per-block column minima of x over the rows steps[b * m : (b + 1) * m].
+
+    One strided row gather per position in the block, folded with
+    np.minimum; a minimum is exact, so the fold order cannot change a bit.
+    np.take into a reused buffer was no faster end to end in one thread,
+    and it drops the GIL on every call, which slowed two-thread experiments.
+    """
+    mn = x[steps[0::m]]
+    for j in range(1, m):
+        np.minimum(mn, x[steps[j::m]], out=mn)
     return mn
 
 

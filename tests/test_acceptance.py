@@ -356,6 +356,8 @@ GOLDEN_SHA256 = {
     "exp.csv": "e6693096a510146be30efcb07f0f983a7e83815187cf2cc51c90e08bddefe708",
     "e3_f2.csv": "5481bcb16db2a48d46c40e76e3bc1b9285f76bc2b4fe31d0a28e3ccca9a857bb",
     "e1_f3.csv": "f1ec096d6982aecc8137b04fcf704f55a6a1d582e62e8b7fa17b369867d68265",
+    "e2_f1_p09.csv": "ffef7410d52c09f5ffd4264b62614651c888c8e2051f5d30aeb7daf33320b0c7",
+    "e2_f3_p09.csv": "b653419df0e2c721c964b7376b318749d647c6d3d599659ce31db567d672e756",
 }
 
 
@@ -375,6 +377,11 @@ def test_criterion_12_seeded_outputs_match_golden_digests(tmp_path):
          "--out", path["e3_f2.csv"]],
         ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "20",
          "--reps", "3", "--seed", "2", "--competitors", "--out", path["e1_f3.csv"]],
+        # p < 1: repeated innovations, shared across blocks, and tied maxima
+        ["experiment", "--experiment", "E2", "--framework", "F1", "--d", "30",
+         "--reps", "4", "--seed", "3", "--p", "0.9", "--out", path["e2_f1_p09.csv"]],
+        ["experiment", "--experiment", "E2", "--framework", "F3", "--d", "30",
+         "--reps", "2", "--seed", "4", "--p", "0.9", "--out", path["e2_f3_p09.csv"]],
     ]
     for argv in commands:
         assert main(argv) == 0

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailclust import tau_theory
+from tailclust import cli, tau_theory
 from tailclust.cli import main
 
 
@@ -152,6 +152,26 @@ def test_cluster_flag_errors(noise_csv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid-n", "0"], "--grid-n must be positive"),
+        (["--grid-n", "-4", "--grid-lo", "0.1"], "--grid-n must be positive"),
+        (["--grid-lo", "-0.1"], "grid values must be nonnegative"),
+        (["--grid-hi", "-0.5"], "grid values must be nonnegative"),
+        (["--grid-lo", "-1", "--grid-hi", "0.5", "--grid-n", "3"], "grid values must be nonnegative"),
+    ],
+)
+def test_cluster_rejects_grid_flags_before_reading_the_input(flags, message, monkeypatch, capsys):
+    def read_series(path):
+        raise AssertionError(f"{path} was read before the grid flags were checked")
+
+    monkeypatch.setattr(cli, "_read_series", read_series)
+    argv = ["cluster", "--input", "unread.csv", "--block-size", "5", "--auto-tau", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cluster_malformed_csv(tmp_path, capsys):

@@ -119,19 +119,45 @@ def _rank_columns(draw):
     d = draw(st.integers(1, 6))
     cols = []
     for _ in range(d):
-        kind = draw(st.sampled_from(("grid", "ties", "nudged", "scaled")))
-        if kind == "ties":
+        kind = draw(
+            st.sampled_from(
+                ("grid", "ties", "nudged", "scaled", "ties_nudged", "ties_scaled")
+            )
+        )
+        if kind.startswith("ties"):
             ranks = draw(st.lists(st.integers(1, k), min_size=k, max_size=k))
             col = np.array(ranks) / k
         else:
             col = np.array(draw(st.permutations(range(1, k + 1)))) / k
-        if kind == "nudged":
-            # one entry one ulp off the grid: still tie-free, no longer ranks
+        if kind.endswith("nudged"):
+            # one entry one ulp off the grid: a tie-free column is no longer
+            # ranks, a tied one usually stays tied
             i = draw(st.integers(0, k - 1))
             col[i] = np.nextafter(col[i], 0.0)
-        elif kind == "scaled":
+        elif kind.endswith("scaled"):
+            # halved: off the grid unless every rank is even; tied columns stay valid
             col = col * 0.5
         cols.append(col)
+    return np.column_stack(cols)
+
+
+def _large_k_columns(k, nudge_grid):
+    """Rank grid, tied ranks, and tied ranks scaled by 0.5 and nudged, at large k.
+
+    With nudge_grid a fifth column, the grid with one entry one ulp low, is
+    tie-free but off the grid and must be rejected.
+    """
+    rng = np.random.default_rng(k)
+    grid = (rng.permutation(k) + 1.0) / k
+    tied = rng.integers(1, k + 1, size=k) / k
+    tied[1] = tied[0]
+    nudged_tied = tied.copy()
+    nudged_tied[2] = np.nextafter(nudged_tied[2], 0.0)
+    cols = [grid, tied, tied * 0.5, nudged_tied]
+    if nudge_grid:
+        nudged = grid.copy()
+        nudged[k // 2] = np.nextafter(nudged[k // 2], 0.0)
+        cols.append(nudged)
     return np.column_stack(cols)
 
 
@@ -140,6 +166,10 @@ def _rank_columns(draw):
 @example(arr=np.array([[1.0]]))
 @example(arr=np.array([[0.5]]))
 @example(arr=np.array([[1.0, 0.5], [0.5, 0.25]]))
+@example(arr=_large_k_columns(1000, nudge_grid=False))
+@example(arr=_large_k_columns(1000, nudge_grid=True))
+@example(arr=_large_k_columns(3333, nudge_grid=False))
+@example(arr=_large_k_columns(3333, nudge_grid=True))
 def test_rank_grid_check_matches_per_column_loop(arr):
     try:
         rank_grid_check_loops(arr)

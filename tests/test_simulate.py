@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -58,6 +58,50 @@ def test_stable_reproducible():
     a = sample_positive_stable(0.4, np.random.default_rng(11), size=8)
     b = sample_positive_stable(0.4, np.random.default_rng(11), size=8)
     assert np.array_equal(a, b)
+
+
+def stable_one_expression(alpha, rng, size=None):
+    """Kanter's product as one expression: the reference for the in-place body."""
+    scalar = size is None
+    u = rng.uniform(0.0, np.pi, size=1 if scalar else size)
+    e = rng.exponential(1.0, size=1 if scalar else size)
+    ratio = (1.0 - alpha) / alpha
+    s = (
+        np.sin(alpha * u)
+        * np.sin((1.0 - alpha) * u) ** ratio
+        / np.sin(u) ** (1.0 / alpha)
+    ) * e ** (-ratio)
+    return float(s[0]) if scalar else s
+
+
+_SIZES = st.one_of(
+    st.none(),
+    st.integers(0, 40),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    size=_SIZES,
+    seed=st.integers(0, 2**32 - 1),
+)
+# at alpha = 0.5 the exponents are 1, 2 and -1, which numpy's ** turns
+# into a copy, a square and a reciprocal
+@example(alpha=0.5, size=7, seed=1)
+@example(alpha=0.5, size=None, seed=2)
+@example(alpha=1e-3, size=50, seed=3)
+def test_stable_sampler_is_bit_identical_to_the_one_expression_form(alpha, size, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    # tiny alpha overflows: the overflowed bits must agree too
+    with np.errstate(all="ignore"):
+        got = sample_positive_stable(alpha, rng_a, size=size)
+        want = stable_one_expression(alpha, rng_b, size=size)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_stable_laplace_transform_spot_check():
@@ -130,6 +174,35 @@ def test_clayton_is_bit_identical_to_the_direct_sampler(theta, beta, dim, n, see
     expect = outer_power_clayton_direct(theta, beta, dim, n, oracle_rng)
     assert u.shape == expect.shape and u.tobytes() == expect.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def nested_direct(model, n, rng):
+    """The nested sampler written per group, with V0^(beta_g/beta0) taken anew each time."""
+    gam = rng.gamma(1.0 / model.theta, 1.0, size=n)
+    v0 = gam**model.beta0 * sample_positive_stable(1.0 / model.beta0, rng, size=n)
+    cols = []
+    for beta_g, size in zip(model.group_betas, model.group_sizes):
+        v_g = v0 ** (beta_g / model.beta0) * sample_positive_stable(model.beta0 / beta_g, rng, size=n)
+        e = rng.exponential(1.0, size=(n, size))
+        cols.append((1.0 + (e / v_g[:, None]) ** (1.0 / beta_g)) ** (-1.0 / model.theta))
+    return np.column_stack(cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    beta0=st.floats(1.0, 3.0),
+    # a few distinct betas, each reused by some groups
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    extra=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nested_is_bit_identical_to_the_per_group_sampler(beta0, picks, extra, n, seed):
+    betas = tuple(beta0 + extra[i] for i in picks)
+    model = NestedModel(1.0, beta0, betas, tuple(range(1, len(betas) + 1)))
+    got = sample_nested(model, n, np.random.default_rng(seed))
+    want = nested_direct(model, n, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_nested_shapes_and_validation():
