@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -100,8 +101,13 @@ def cmd_cluster(args) -> int:
             raise MalformedInput("--out-scan requires --auto-tau")
     elif args.grid_n is not None and args.grid_n < 1:
         raise MalformedInput("--grid-n must be positive")
-    elif any(b is not None and b < 0.0 for b in (args.grid_lo, args.grid_hi)):
-        raise InvalidParam("grid values must be nonnegative")
+    else:
+        for flag in ("grid_lo", "grid_hi"):
+            value = getattr(args, flag)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParam(f"--{flag.replace('_', '-')} must be finite")
+        if any(b is not None and b < 0.0 for b in (args.grid_lo, args.grid_hi)):
+            raise InvalidParam("grid values must be nonnegative")
     series = _read_series(args.input)
     maxima = block_maxima(series, args.block_size)
     pobs = pseudo_obs(maxima)
@@ -250,7 +256,8 @@ def _build_parser() -> _Parser:
     e.add_argument("--tau-grid", type=_float_list, default=(), help="F3 grid (default: scan around tau_theory)")
     e.add_argument("--competitors", action="store_true", help="also run the oracle-g baselines")
     e.add_argument("--skm-restarts", type=int, default=10)
-    e.add_argument("--threads", type=int, default=1)
+    e.add_argument("--threads", type=int, default=1,
+                   help="parallel workers (processes when > 1; default 1)")
     e.add_argument("--timings", action="store_true", help="append a wall_seconds column")
     e.add_argument("--out", required=True, help="results CSV path")
     e.set_defaults(func=cmd_experiment)

@@ -4,11 +4,12 @@ Framework F1 sweeps the block length m at fixed series length, F2 sweeps the
 block count k at fixed m, F3 sweeps the clustering threshold tau at fixed
 (n, m). Every (grid point, replication) pair gets an independent generator
 seeded by (master_seed, grid index, replication index), so results do not
-depend on the thread count.
+depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +50,12 @@ _FRAMEWORKS = ("F1", "F2", "F3")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Layout, framework grid, and replication budget for one study."""
+    """Layout, framework grid, and replication budget for one study.
+
+    threads is the number of parallel workers, processes when > 1: the
+    replications make many short numpy calls, so threads would spend
+    their time handing the interpreter lock to each other.
+    """
 
     experiment: str
     framework: str
@@ -177,19 +183,45 @@ def _one_rep(cfg: ExperimentConfig, gi: int, value, ri: int) -> dict:
     return out
 
 
+def _run_task(cfg: ExperimentConfig, task: tuple) -> dict:
+    # module level, so a process pool can pickle it; _one_rep is looked up
+    # at call time
+    return _one_rep(cfg, *task)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Simulate, cluster, and aggregate recovery per grid point and algorithm.
 
     F1/F2 cluster at tau_theory(m, d, k) for the grid point's (m, k); F3
     clusters at the grid tau and also averages the SECO of the resulting
     partitions. Aggregation order is fixed by (grid index, replication
-    index), so rows are identical for any thread count.
+    index), so rows are identical for any worker count.
+
+    With cfg.threads > 1 the replications run in min(cfg.threads,
+    replications) worker processes, forked where the platform can fork so
+    that each starts with numpy and tailclust already imported. A fork
+    copies only the calling thread, so call this from a process whose other
+    threads hold no lock a replication needs. Every worker has exited when
+    this returns or raises. A single worker is one pool thread, where a
+    replication runs about 10% faster than on the calling thread.
     """
     grid_param, grid_values = cfg.grid()
     tasks = [(gi, value, ri) for gi, value in enumerate(grid_values) for ri in range(cfg.reps)]
+    # forking starts every worker at once, so never more than there are tasks
+    workers = min(cfg.threads, len(tasks))
+    if workers > 1:
+        # imported here: at module level they would slow `import tailclust`
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork") if fork else None
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+    else:
+        pool = ThreadPoolExecutor(max_workers=1)
     # map cancels the replications not yet started once one of them raises
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(lambda task: _one_rep(cfg, *task), tasks))
+    with pool:
+        results = list(pool.map(functools.partial(_run_task, cfg), tasks))
 
     algorithms = ("ECO", "HC", "SKM") if cfg.include_competitors else ("ECO",)
     rows = []

@@ -305,18 +305,18 @@ def test_criterion_10_randomized_invariant_suites():
 
 
 def test_criterion_11_seeded_commands_are_byte_identical(tmp_path):
-    """Reruns of every seeded command match byte for byte at 1 and 8 threads."""
+    """Reruns of every seeded command match byte for byte at 1, 2 and 8 workers."""
     base = [
         "experiment", "--experiment", "E1", "--framework", "F1", "--d", "6",
         "--p", "0.9", "--reps", "8", "--seed", "7", "--n", "4000",
         "--m-grid", "10,20", "--competitors", "--skm-restarts", "3",
     ]
     runs = []
-    for tag, threads in (("t1", 1), ("t8", 8), ("t8_again", 8)):
+    for tag, threads in (("t1", 1), ("t2", 2), ("t8", 8), ("t8_again", 8)):
         out = tmp_path / f"res_{tag}.csv"
         assert main(base + ["--threads", str(threads), "--out", str(out)]) == 0
         runs.append(out.read_bytes())
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
     sims = []
     for tag in ("first", "second"):

@@ -162,6 +162,12 @@ def test_cluster_flag_errors(noise_csv, capsys):
         (["--grid-lo", "-0.1"], "grid values must be nonnegative"),
         (["--grid-hi", "-0.5"], "grid values must be nonnegative"),
         (["--grid-lo", "-1", "--grid-hi", "0.5", "--grid-n", "3"], "grid values must be nonnegative"),
+        (["--grid-hi", "inf"], "--grid-hi must be finite"),
+        (["--grid-hi=-inf"], "--grid-hi must be finite"),
+        (["--grid-hi", "nan", "--grid-lo", "0.1"], "--grid-hi must be finite"),
+        (["--grid-lo", "inf", "--grid-hi", "0.5"], "--grid-lo must be finite"),
+        (["--grid-lo=-inf"], "--grid-lo must be finite"),
+        (["--grid-lo", "nan", "--grid-hi", "nan"], "--grid-lo must be finite"),
     ],
 )
 def test_cluster_rejects_grid_flags_before_reading_the_input(flags, message, monkeypatch, capsys):
@@ -296,11 +302,13 @@ def test_experiment_runtime_failure_exits_three(tmp_path, capsys, monkeypatch):
     out = tmp_path / "res.csv"
     argv = [
         "experiment", "--experiment", "E1", "--framework", "F2", "--d", "4",
-        "--reps", "1", "--m", "10", "--k-grid", "20", "--out", str(out),
+        "--reps", "2", "--m", "10", "--k-grid", "20", "--out", str(out),
     ]
-    assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("error: experiment failed")
-    assert not out.exists()
+    # two replications: --threads 2 runs them in worker processes
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads]) == 3
+        assert capsys.readouterr().err == "error: experiment failed: replication failed\n"
+        assert not out.exists()
 
 
 def test_experiment_flag_errors(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Experiment harness: configs, the replication grid, and CSV aggregation."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
 import sys
 import time
 
@@ -150,26 +154,78 @@ def test_run_experiment_f3_reports_mean_seco():
 
 
 def test_run_experiment_thread_count_does_not_change_results():
-    cfg1 = tiny_cfg(include_competitors=True, skm_restarts=2, threads=1)
-    cfg4 = tiny_cfg(include_competitors=True, skm_restarts=2, threads=4)
-    assert results_to_csv(run_experiment(cfg1)) == results_to_csv(run_experiment(cfg4))
+    for overrides in (
+        dict(include_competitors=True, skm_restarts=2),
+        dict(framework="F3", n=2_000, m=10, tau_grid=(0.2, 0.4)),  # with mean_seco
+    ):
+        csvs = {
+            threads: results_to_csv(run_experiment(tiny_cfg(threads=threads, **overrides)))
+            for threads in (1, 2, 4, 8)
+        }
+        assert csvs[1] == csvs[2] == csvs[4] == csvs[8]
+        # every worker process has exited by the time the rows are back
+        assert multiprocessing.active_children() == []
+
+
+def test_run_experiment_starts_no_more_workers_than_replications(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records the worker count and runs the tasks here, starting nothing."""
+
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rows = run_experiment(tiny_cfg(reps=1, threads=10**6))  # 2 replications
+    assert started == [2]
+    assert results_to_csv(rows) == results_to_csv(run_experiment(tiny_cfg(reps=1)))
+    run_experiment(tiny_cfg(reps=1, m_grid=(10,), threads=10**6))  # 1: no process pool
+    assert started == [2]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_run_experiment_stops_after_a_failed_replication(monkeypatch, threads):
-    started = []
-
+def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, threads):
+    # one file per started replication, named by the task and holding the
+    # pid, because a worker process cannot append to a list in this one
     def failing(cfg, gi, value, ri):
-        started.append((gi, ri))
+        (tmp_path / f"{gi}-{ri}").write_text(str(os.getpid()))
         if (gi, ri) == (0, 0):
             raise RuntimeError("replication failed")
-        time.sleep(0.05)  # releases the lock, so the failure is seen mid-run
+        time.sleep(0.05)  # so the failure is seen mid-run
         return {"ECO": (True, None, 0.0)}
 
     monkeypatch.setattr(experiments, "_one_rep", failing)
     with pytest.raises(RuntimeError, match="replication failed"):
         run_experiment(tiny_cfg(reps=20, threads=threads))
+    started = list(tmp_path.iterdir())
+    assert (tmp_path / "0-0").exists()
     assert len(started) < 10  # of 40 replications
+    pids = {int(path.read_text()) for path in started}
+    assert (os.getpid() in pids) == (threads == 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_import_loads_no_process_machinery():
+    # the process pool is imported only when a run asks for workers
+    code = (
+        "import sys, tailclust; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
