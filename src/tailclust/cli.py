@@ -257,7 +257,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--competitors", action="store_true", help="also run the oracle-g baselines")
     e.add_argument("--skm-restarts", type=int, default=10)
     e.add_argument("--threads", type=int, default=1,
-                   help="parallel workers (processes when > 1; default 1)")
+                   help="parallel workers: this process and threads - 1 worker processes (default 1)")
     e.add_argument("--timings", action="store_true", help="append a wall_seconds column")
     e.add_argument("--out", required=True, help="results CSV path")
     e.set_defaults(func=cmd_experiment)

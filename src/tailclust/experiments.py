@@ -9,8 +9,10 @@ depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,9 +54,8 @@ _FRAMEWORKS = ("F1", "F2", "F3")
 class ExperimentConfig:
     """Layout, framework grid, and replication budget for one study.
 
-    threads is the number of parallel workers, processes when > 1: the
-    replications make many short numpy calls, so threads would spend
-    their time handing the interpreter lock to each other.
+    threads is the number of parallel workers: the calling process and, when
+    > 1, threads - 1 worker processes (see run_experiment).
     """
 
     experiment: str
@@ -189,6 +190,20 @@ def _run_task(cfg: ExperimentConfig, task: tuple) -> dict:
     return _one_rep(cfg, *task)
 
 
+def _process_pool(workers: int):
+    # imported here: at module level they would slow `import tailclust`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A fork starts a worker with numpy and tailclust already imported, but
+    # copies only the calling thread: a lock that another thread holds stays
+    # locked in the child. Fork a process with no other thread; spawn fresh
+    # interpreters otherwise.
+    fork = threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Simulate, cluster, and aggregate recovery per grid point and algorithm.
 
@@ -197,31 +212,35 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     partitions. Aggregation order is fixed by (grid index, replication
     index), so rows are identical for any worker count.
 
-    With cfg.threads > 1 the replications run in min(cfg.threads,
-    replications) worker processes, forked where the platform can fork so
-    that each starts with numpy and tailclust already imported. A fork
-    copies only the calling thread, so call this from a process whose other
-    threads hold no lock a replication needs. Every worker has exited when
-    this returns or raises. A single worker is one pool thread, where a
-    replication runs about 10% faster than on the calling thread.
+    The replications run on w = min(cfg.threads, replications) workers. The
+    calling process is one of them: one pool thread, where a replication
+    runs about 10% faster than on the calling thread, takes every w-th
+    replication from the first. The others run in w - 1 worker processes,
+    since a replication makes many short numpy calls and threads would hand
+    the interpreter lock to each other. Workers are forked when no other
+    thread is running, else spawned. Once a replication raises, those not
+    yet handed to a worker are cancelled, and every worker has exited when
+    this returns or raises.
     """
     grid_param, grid_values = cfg.grid()
     tasks = [(gi, value, ri) for gi, value in enumerate(grid_values) for ri in range(cfg.reps)]
-    # forking starts every worker at once, so never more than there are tasks
+    run = functools.partial(_run_task, cfg)
+    # a process pool starts all its workers at once, so never more than tasks
     workers = min(cfg.threads, len(tasks))
-    if workers > 1:
-        # imported here: at module level they would slow `import tailclust`
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork") if fork else None
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-    else:
-        pool = ThreadPoolExecutor(max_workers=1)
-    # map cancels the replications not yet started once one of them raises
-    with pool:
-        results = list(pool.map(functools.partial(_run_task, cfg), tasks))
+    with contextlib.ExitStack() as pools:
+        futures = {}
+        if workers > 1:
+            # submitted first, so the workers start before the pool thread
+            others = pools.enter_context(_process_pool(workers - 1))
+            futures = {i: others.submit(run, task) for i, task in enumerate(tasks) if i % workers}
+        own = pools.enter_context(ThreadPoolExecutor(max_workers=1))
+        futures.update((i, own.submit(run, tasks[i])) for i in range(0, len(tasks), workers))
+        try:
+            results = [futures[i].result() for i in range(len(tasks))]
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
 
     algorithms = ("ECO", "HC", "SKM") if cfg.include_competitors else ("ECO",)
     rows = []

@@ -270,8 +270,8 @@ def _block_minima(x: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:
 
     One strided row gather per position in the block, folded with
     np.minimum; a minimum is exact, so the fold order cannot change a bit.
-    np.take into a reused buffer ran about as fast in one process (within
-    1% per E2/F1 experiment job).
+    Whether np.take into a reused buffer gathers faster is open (CHANGES.md,
+    the FOUND line on _block_minima).
     """
     mn = x[steps[0::m]]
     for j in range(1, m):

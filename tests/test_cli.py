@@ -294,7 +294,9 @@ def test_experiment_runtime_failure_exits_three(tmp_path, capsys, monkeypatch):
     from tailclust import InvalidParam, experiments
 
     def failing(cfg, gi, value, ri):
-        raise InvalidParam("replication failed")
+        if ri == 1:
+            raise InvalidParam("replication failed")
+        return {"ECO": (True, None, 0.0)}
 
     # a typed error raised inside a replication is a runtime failure, not a
     # flag error: the config passed its checks before any simulation began
@@ -304,7 +306,7 @@ def test_experiment_runtime_failure_exits_three(tmp_path, capsys, monkeypatch):
         "experiment", "--experiment", "E1", "--framework", "F2", "--d", "4",
         "--reps", "2", "--m", "10", "--k-grid", "20", "--out", str(out),
     ]
-    # two replications: --threads 2 runs them in worker processes
+    # two replications: --threads 2 runs the failing second one in a worker process
     for threads in ("1", "2"):
         assert main(argv + ["--threads", threads]) == 3
         assert capsys.readouterr().err == "error: experiment failed: replication failed\n"

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -182,36 +183,75 @@ def test_run_experiment_starts_no_more_workers_than_replications(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    rows = run_experiment(tiny_cfg(reps=1, threads=10**6))  # 2 replications
-    assert started == [2]
+    # 2 replications: this process and one worker process
+    rows = run_experiment(tiny_cfg(reps=1, threads=10**6))
+    assert started == [1]
     assert results_to_csv(rows) == results_to_csv(run_experiment(tiny_cfg(reps=1)))
+    run_experiment(tiny_cfg(reps=2, threads=3))  # 4 replications on 3 workers
+    assert started == [1, 2]
     run_experiment(tiny_cfg(reps=1, m_grid=(10,), threads=10**6))  # 1: no process pool
-    assert started == [2]
+    assert started == [1, 2]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, threads):
+def test_run_experiment_spawns_workers_while_another_thread_runs(monkeypatch):
+    # a fork copies only the calling thread, so a process with another
+    # thread running spawns its workers instead
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        rows = run_experiment(tiny_cfg(threads=2))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert methods == ["spawn"]
+    assert results_to_csv(rows) == results_to_csv(run_experiment(tiny_cfg(threads=1)))
+    run_experiment(tiny_cfg(threads=2))
+    assert methods[1:] == ["fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "threads, fail",
+    [pytest.param(1, 0, id="1"), pytest.param(2, 0, id="2"), pytest.param(2, 1, id="2-in-worker")],
+)
+def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, threads, fail):
     # one file per started replication, named by the task and holding the
     # pid, because a worker process cannot append to a list in this one
     def failing(cfg, gi, value, ri):
         (tmp_path / f"{gi}-{ri}").write_text(str(os.getpid()))
-        if (gi, ri) == (0, 0):
+        if (gi, ri) == (0, fail):
             raise RuntimeError("replication failed")
         time.sleep(0.05)  # so the failure is seen mid-run
         return {"ECO": (True, None, 0.0)}
 
     monkeypatch.setattr(experiments, "_one_rep", failing)
+    reps = 20
     with pytest.raises(RuntimeError, match="replication failed"):
-        run_experiment(tiny_cfg(reps=20, threads=threads))
-    started = list(tmp_path.iterdir())
-    assert (tmp_path / "0-0").exists()
+        run_experiment(tiny_cfg(reps=reps, threads=threads))
+    started = {path.name: int(path.read_text()) for path in tmp_path.iterdir()}
+    assert f"0-{fail}" in started
     assert len(started) < 10  # of 40 replications
-    pids = {int(path.read_text()) for path in started}
-    assert (os.getpid() in pids) == (threads == 1)
+    # this process runs every threads-th replication from the first, worker
+    # processes the rest: with 2 workers a failure on either side stops both
+    for name, pid in started.items():
+        gi, ri = map(int, name.split("-"))
+        assert (pid == os.getpid()) == ((gi * reps + ri) % threads == 0)
     assert multiprocessing.active_children() == []
 
 
