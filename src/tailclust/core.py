@@ -8,6 +8,7 @@ across threads without copying.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -159,11 +160,11 @@ class SeriesMatrix:
         return self.values.shape[1]
 
 
-def _check_block_length(m: int, n: int) -> None:
+def _check_block_length(m: int, n: int | None = None) -> None:
     """Reject a block length m that is not positive or exceeds n steps."""
     if m < 1:
         raise InvalidParam("block length must be a positive integer")
-    if n // m < 1:
+    if n is not None and n // m < 1:
         raise BlockTooLarge(f"block length {m} exceeds series length {n}")
 
 
@@ -425,3 +426,17 @@ def partition_from_json(text: str, names: Sequence[str]) -> Partition:
         except (KeyError, TypeError) as exc:
             raise MalformedInput(f"unknown variable name in partition: {exc}") from exc
     return canonicalize(groups, len(names))
+
+
+def _fork_is_safe() -> bool:
+    """Whether this process may fork a child that runs package code.
+
+    A fork starts the child with numpy and tailclust already imported, but
+    copies only the calling thread: a lock that another thread holds stays
+    locked in the child. Fork only a process with no other thread, on a
+    platform that has fork.
+    """
+    # imported here: at module level it would slow `import tailclust`
+    import multiprocessing
+
+    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()

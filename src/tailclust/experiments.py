@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .core import (
     InvalidParam,
     Partition,
     _check_block_length,
+    _fork_is_safe,
     partitions_equal,
 )
 from .estimators import chi_matrix, seco, tau_theory
@@ -125,7 +125,12 @@ def _check_two_blocks(m: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Aggregate for one (grid point, algorithm) cell."""
+    """Aggregate for one (grid point, algorithm) cell.
+
+    wall_seconds is the clustering time summed over the cell's replications.
+    It leaves out simulation and ranking, and HC's time leaves out the
+    pairwise madogram sums, which it reuses from ECO's chi.
+    """
 
     experiment: str
     framework: str
@@ -195,12 +200,8 @@ def _process_pool(workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # A fork starts a worker with numpy and tailclust already imported, but
-    # copies only the calling thread: a lock that another thread holds stays
-    # locked in the child. Fork a process with no other thread; spawn fresh
-    # interpreters otherwise.
-    fork = threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if fork else "spawn")
+    # spawn fresh interpreters where a fork is not safe
+    context = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
     return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 

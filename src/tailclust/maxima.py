@@ -15,11 +15,21 @@ def block_maxima(series: SeriesMatrix, m: int) -> MaximaMatrix:
     The trailing remainder of length n - k*m is discarded. With m = 1 the
     output equals the input series.
     """
-    n, d = series.n, series.d
-    _check_block_length(m, n)
-    k = n // m
-    vals = series.values[: k * m].reshape(k, m, d).max(axis=1)
-    return MaximaMatrix(vals, block_length=m, source_length=n)
+    _check_block_length(m, series.n)
+    return MaximaMatrix(_cut_blocks(series.values, 0, m)[1], block_length=m, source_length=series.n)
+
+
+def _cut_blocks(rows: np.ndarray, offset: int, m: int):
+    """Cut rows that start at series row `offset` along the blocks of length m.
+
+    Returns the rows that finish the block open at `offset`, the maxima of
+    the whole blocks after them, and the rows of a block left open.
+    """
+    head = min(-offset % m, len(rows))
+    k = (len(rows) - head) // m
+    stop = head + k * m
+    maxima = rows[head:stop].reshape(k, m, rows.shape[1]).max(axis=1)
+    return rows[:head], maxima, rows[stop:]
 
 
 def pseudo_obs(maxima: MaximaMatrix) -> PseudoObs:

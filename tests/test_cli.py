@@ -1,15 +1,17 @@
 """Command-line surface: flags, exit codes, files, and determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from tailclust import cli, tau_theory
+from tailclust import MalformedInput, SeriesMatrix, block_maxima, cli, tau_theory
 from tailclust.cli import main
 
 
@@ -168,13 +170,15 @@ def test_cluster_flag_errors(noise_csv, capsys):
         (["--grid-lo", "inf", "--grid-hi", "0.5"], "--grid-lo must be finite"),
         (["--grid-lo=-inf"], "--grid-lo must be finite"),
         (["--grid-lo", "nan", "--grid-hi", "nan"], "--grid-lo must be finite"),
+        (["--block-size", "0"], "block length must be a positive integer"),
+        (["--block-size", "-3", "--grid-n", "3"], "block length must be a positive integer"),
     ],
 )
 def test_cluster_rejects_grid_flags_before_reading_the_input(flags, message, monkeypatch, capsys):
-    def read_series(path):
-        raise AssertionError(f"{path} was read before the grid flags were checked")
+    def read_maxima(path, m, **private):
+        raise AssertionError(f"{path} was read before the flags were checked")
 
-    monkeypatch.setattr(cli, "_read_series", read_series)
+    monkeypatch.setattr(cli, "_read_maxima", read_maxima)
     argv = ["cluster", "--input", "unread.csv", "--block-size", "5", "--auto-tau", *flags]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -198,6 +202,225 @@ def test_cluster_malformed_csv(tmp_path, capsys):
         err = capsys.readouterr().err
         if name in ("noheadernums.csv", "blankbody.csv", "commentbody.csv"):
             assert err.endswith(f"{name}: no data rows\n")
+
+
+def test_cluster_malformed_csv_messages_name_the_file_once(tmp_path, capsys):
+    for name, content in {"empty.csv": "", "commentbody.csv": "a,b\n# no rows yet\n"}.items():
+        path = tmp_path / name
+        path.write_text(content)
+        assert main(["cluster", "--input", str(path), "--block-size", "2", "--tau", "0.1"]) == 2
+        reason = "empty input" if name == "empty.csv" else "no data rows"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("header", ["a,,c", "a, ,c", "a,\t,c"])
+def test_cluster_rejects_an_empty_column_name(header, tmp_path, capsys):
+    path = tmp_path / "unnamed.csv"
+    path.write_text(header + "\n" + "".join(f"{i},{i * i % 7},{-i}\n" for i in range(12)))
+    assert main(["cluster", "--input", str(path), "--block-size", "3", "--tau", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: column 1 has an empty name\n"
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader: two block-aligned halves, the second in a forked child
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def record_forks(monkeypatch):
+    """Fork at any body size, and record whether each read forked."""
+    forks = []
+    parse_halves = cli._parse_halves
+
+    def recording(read_first, read_second, m, fork):
+        forks.append(fork)
+        return parse_halves(read_first, read_second, m, fork)
+
+    monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(cli, "_parse_halves", recording)
+    return forks
+
+
+# rows of a 3-column series: signed zeros and ties inside blocks, blank and
+# comment lines (one after a row, one with \r\n) between them
+_ROWS = [
+    "0.0,-0.0,1.5",
+    "",
+    "-0.0,0.0,1.5",
+    "# a comment",
+    "2.25,-1e-300,7",
+    "1e300,3,  -2",
+    "#",
+    "0.5,0.5,0.5 # trailing note",
+    "-0.0,-0.0,-0.0\r",
+    "#",
+    "4,4,1",
+    "-3,-3.5,8",
+    "",
+    "",
+    "6,0.0,-0.0",
+    "0.125,9,9",
+    "# before the last rows",
+    "7,1,2",
+    "-0.0,2,0.0",
+    "5e-324,-5e-324,0",
+]
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["in-caller", "forked"])
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_reader_equals_block_maxima_of_the_loaded_series_at_every_split(
+    tmp_path, m, fork, monkeypatch, record_forks
+):
+    if not fork:
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
+    path = tmp_path / "series.csv"
+    text = "a,b,c\n" + "\n".join(_ROWS) + "\n# the end\n"
+    path.write_bytes(text.encode())
+    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    expect = block_maxima(SeriesMatrix(raw, ("a", "b", "c")), m)
+    data = text.encode()
+    starts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]  # every line start
+    for split in starts:
+        names, got = cli._read_maxima(str(path), m, _split=split)
+        assert names == ("a", "b", "c")
+        assert (got.block_length, got.source_length) == (m, raw.shape[0])
+        assert got.values.tobytes() == expect.values.tobytes(), split
+    assert record_forks == [fork] * len(starts)
+    assert_no_child_left()
+
+
+def _body_rows(bad_row, line):
+    rows = [f"{i}.5,{9 - i}.25" for i in range(10)]
+    rows[bad_row] = line
+    rows.insert(5, "# comment")
+    rows.insert(0, "")
+    return "a,b\n" + "\n".join(rows) + "\n"
+
+
+# each message is the one a single pass over the whole file gives
+@pytest.mark.parametrize(
+    "line, half, message",
+    [
+        ("3.5,oops", "first", "{path}: could not convert string 'oops' to float64 at row 1, column 2."),
+        ("3.5,oops", "second", "{path}: could not convert string 'oops' to float64 at row 8, column 2."),
+        ("3.5", "first", "{path}: the number of columns changed from 2 to 1 at row 2; "
+                         "use `usecols` to select a subset and avoid this error"),
+        ("3.5", "second", "{path}: the number of columns changed from 2 to 1 at row 9; "
+                          "use `usecols` to select a subset and avoid this error"),
+        ("3.5,1,2", "second", "{path}: the number of columns changed from 2 to 3 at row 9; "
+                              "use `usecols` to select a subset and avoid this error"),
+        ("   ", "second", "{path}: the number of columns changed from 2 to 1 at row 9; "
+                          "use `usecols` to select a subset and avoid this error"),
+        ("nan,1", "first", "series contains NaN or infinite entries"),
+        ("nan,1", "second", "series contains NaN or infinite entries"),
+        ("1,-inf", "first", "series contains NaN or infinite entries"),
+        ("1,-inf", "second", "series contains NaN or infinite entries"),
+    ],
+    ids=["cell-first", "cell-second", "jagged-first", "jagged-second", "wide-second", "blank-second",
+         "nan-first", "nan-second", "inf-first", "inf-second"],
+)
+def test_reader_reports_a_bad_row_in_either_half_as_one_pass_does(
+    line, half, message, tmp_path, capsys, record_forks
+):
+    path = tmp_path / f"bad_{half}.csv"
+    text = _body_rows(1 if half == "first" else 8, line)
+    path.write_text(text)
+    # the bad line lies in the half the case names
+    assert (text.index(f"\n{line}\n") < len(text) // 2) == (half == "first")
+    assert main(["cluster", "--input", str(path), "--block-size", "2", "--tau", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+    assert record_forks == [True]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["in-caller", "forked"])
+def test_reader_rejects_a_half_of_only_whitespace_lines(tmp_path, fork, monkeypatch, record_forks):
+    # loadtxt reads a line of spaces as one cell, so a body with rows fails
+    # as a whole even when such lines are all its second half holds
+    if not fork:
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
+    path = tmp_path / "spaces.csv"
+    rows = "a,b\n" + "".join(f"{i}.5,{i}\n" for i in range(10))
+    path.write_text(rows + (" " * 40 + "\n") * 3)
+    message = (
+        f"{path}: the number of columns changed from 2 to 1 at row 11; "
+        "use `usecols` to select a subset and avoid this error"
+    )
+    with pytest.raises(MalformedInput) as err:
+        cli._read_maxima(str(path), 2, _split=len(rows))
+    assert str(err.value) == message
+    assert record_forks == [fork]
+    assert_no_child_left()
+
+
+def test_reader_leaves_no_child_after_success_or_an_error_in_the_caller(
+    noise_csv, tmp_path, capsys, monkeypatch, record_forks
+):
+    argv = ["cluster", "--input", str(noise_csv), "--block-size", "20", "--auto-tau",
+            "--out-partition", str(tmp_path / "part.json")]
+    assert main(argv) == 0
+    assert_no_child_left()
+
+    caller = os.getpid()
+    parse_range = cli._parse_range
+
+    def fail_in_caller(*args):
+        if os.getpid() == caller:
+            raise RuntimeError("stopped in the caller")
+        return parse_range(*args)
+
+    # the child waits for the caller's row count, so it is still running
+    monkeypatch.setattr(cli, "_parse_range", fail_in_caller)
+    with pytest.raises(RuntimeError, match="stopped in the caller"):
+        main(argv)
+    assert record_forks == [True, True]
+    assert_no_child_left()
+    capsys.readouterr()
+
+
+def test_reader_forks_only_without_another_thread(noise_csv, tmp_path, capsys, record_forks):
+    argv = ["cluster", "--input", str(noise_csv), "--block-size", "20", "--tau", "0.5"]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        release.set()
+        other.join()
+    threaded = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == threaded
+    assert record_forks == [False, True]
+
+
+def test_reader_does_not_fork_for_a_small_body(noise_csv, monkeypatch, capsys):
+    forks = []
+    parse_halves = cli._parse_halves
+    monkeypatch.setattr(cli, "_parse_halves", lambda *args: forks.append(args[-1]) or parse_halves(*args))
+    assert main(["cluster", "--input", str(noise_csv), "--block-size", "20", "--tau", "0.5"]) == 0
+    assert forks == [False]
+    capsys.readouterr()
+
+
+def test_cluster_and_seco_never_build_the_series(noise_csv, tmp_path, monkeypatch, capsys, record_forks):
+    def series(self):
+        raise AssertionError("a SeriesMatrix was built")
+
+    monkeypatch.setattr(SeriesMatrix, "__post_init__", series)
+    part = tmp_path / "part.json"
+    argv = ["cluster", "--input", str(noise_csv), "--block-size", "20", "--auto-tau",
+            "--out-partition", str(part)]
+    assert main(argv) == 0
+    assert main(["seco", "--input", str(noise_csv), "--block-size", "20", "--partition", str(part)]) == 0
+    assert record_forks == [True, True]
+    capsys.readouterr()
 
 
 def test_cluster_rejects_constant_column(tmp_path, capsys):
@@ -394,6 +617,16 @@ def test_seco_errors(noise_csv, tmp_path, capsys):
     assert main(["seco", "--input", str(noise_csv), "--block-size", "10",
                  "--partition", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_seco_rejects_the_block_length_before_reading_the_input(monkeypatch, capsys):
+    def read_maxima(path, m, **private):
+        raise AssertionError(f"{path} was read before the block length was checked")
+
+    monkeypatch.setattr(cli, "_read_maxima", read_maxima)
+    argv = ["seco", "--input", "unread.csv", "--block-size", "0", "--partition", "unread.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: block length must be a positive integer\n"
 
 
 def test_seco_rejects_a_single_block(tmp_path, capsys):

@@ -256,9 +256,10 @@ def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, 
 
 
 def test_import_loads_no_process_machinery():
-    # the process pool is imported only when a run asks for workers
+    # the process pool is imported only when a run asks for workers, and
+    # the CLI's reader imports multiprocessing only when it forks
     code = (
-        "import sys, tailclust; "
+        "import sys, tailclust, tailclust.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     )
     src = os.path.dirname(os.path.dirname(experiments.__file__))
