@@ -8,12 +8,12 @@ significant digits so seeded reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
-import io
+import itertools
 import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     TailclustError,
     _check_block_length,
     _fork_is_safe,
+    _process_pool,
     partition_from_json,
     partition_to_json,
 )
@@ -49,36 +50,57 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Below this many body bytes the caller parses both halves itself: importing
-# multiprocessing and forking take about 25 ms, more than a parallel half
-# saves below a few MB (loadtxt parses about 115 MB/s on one vCPU of a
-# shared Xeon host).
+# Below this many body bytes the reader parses the whole body in the calling
+# process: importing the process pool and a round trip through a forked
+# one-worker pool take about 40 ms in a fresh process (about 19 ms once
+# imported, with a 1.6 MB result), more than a parallel half saves below a
+# few MB (loadtxt parses about 115 MB/s on one vCPU of a shared Xeon host).
 _FORK_MIN_BYTES = 8 << 20
 
 
-def _holds_a_line(fh, blank) -> bool:
-    """Whether fh holds a line that blank(line) rejects; fh does not move."""
-    start = fh.tell()
-    line = fh.readline()
-    while line and blank(line):
-        line = fh.readline()
-    fh.seek(start)
-    return bool(line)
+def _skipped(line: str) -> bool:
+    """Whether loadtxt skips the line: empty, or only a "#" comment."""
+    return not line.split("#", 1)[0].rstrip("\r\n")
 
 
-def _parse_rows(fh, path: str, width: int) -> np.ndarray:
-    """The data rows of a text stream of CSV body lines, checked as a body.
+def _lines(raw, encoding: str, size: int):
+    """The next `size` bytes of a binary file as text lines, with their ends.
 
-    A stream of only empty and "#" comment lines, the lines loadtxt skips,
-    gives 0 rows: loadtxt would warn that it holds no data.
+    A line ends at "\n", "\r\n" or a bare "\r", as in a file read in text
+    mode.
     """
-    try:
-        if not _holds_a_line(fh, lambda line: not line.split("#", 1)[0].rstrip("\r\n")):
-            return np.empty((0, width))
-        # parse from the handle: no string copy of the body
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
+    while size > 0:
+        line = raw.readline(size)
+        if not line:
+            return
+        size -= len(line)
+        # loadtxt rejects a "\r" inside a line it is given; splitting only
+        # then spares the copy of every line
+        for piece in line.splitlines(keepends=True) if b"\r" in line else (line,):
+            yield piece.decode(encoding)
+
+
+def _parse_range(path: str, encoding: str, width: int, lo: int, hi: int, blank=_skipped):
+    """The data rows of the body lines in bytes [lo, hi) of the file, checked as a body.
+
+    The lines stream into loadtxt: no copy of the range is held. If
+    blank(line) holds for every line, the range gives 0 rows: loadtxt would
+    warn that it holds no data.
+    """
+    with open(path, "rb") as raw:
+        raw.seek(lo)
+        lines = _lines(raw, encoding, hi - lo)
+        try:
+            leading = []
+            for line in lines:
+                leading.append(line)
+                if not blank(line):
+                    break
+            else:
+                return np.empty((0, width))
+            rows = np.loadtxt(itertools.chain(leading, lines), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise MalformedInput(f"{path}: {exc}") from exc
     if rows.shape[1] != width:
         raise MalformedInput(f"{path}: header has {width} names but rows have {rows.shape[1]} cells")
     if not np.isfinite(rows).all():
@@ -86,105 +108,46 @@ def _parse_rows(fh, path: str, width: int) -> np.ndarray:
     return rows
 
 
-def _parse_range(path: str, encoding: str, width: int, lo: int, hi: int) -> np.ndarray:
-    """_parse_rows of the body lines in bytes [lo, hi) of the file."""
-    with open(path, "rb") as raw:
-        raw.seek(lo)
-        data = raw.read(hi - lo)
-    return _parse_rows(io.TextIOWrapper(io.BytesIO(data), encoding, newline=""), path, width)
-
-
-def _cut_second(rows: np.ndarray, offset: int, m: int):
-    """(head, maxima, row count) of the second half: all that its caller needs."""
-    head, maxima, _ = _cut_blocks(rows, offset, m)
-    return head, maxima, len(rows)
-
-
-def _second_half(conn, read, m: int) -> None:
-    """Child side of _parse_halves: parse, learn the row offset, send the cut.
-
-    Sends None if the half fails a check: the caller finds the error itself.
-    """
-    try:
-        rows = read()
-    except Exception:
-        rows = None
-    try:
-        offset = conn.recv()
-        conn.send(None if rows is None else _cut_second(rows, offset, m))
-    except Exception:  # the caller has gone: there is no one to tell
-        pass
-
-
-def _parse_halves(read_first, read_second, m: int, fork: bool):
-    """Parse both halves of a body, the second in a forked child if `fork`.
-
-    Returns the first half's rows, and _cut_second of the second half at the
-    first half's row count; None in its place if the child's half failed a
-    check or the child died. A failure in the calling process raises, after
-    the child is killed. The child has exited when this returns or raises.
-    """
-    if not fork:
-        first, second = read_first(), read_second()
-        return first, _cut_second(second, len(first), m)
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    conn, child_conn = context.Pipe()
-    child = context.Process(target=_second_half, args=(child_conn, read_second, m))
-    child.start()
-    try:
-        child_conn.close()
-        first = read_first()
-        try:
-            conn.send(len(first))
-            second = conn.recv()
-        except (EOFError, OSError):  # the child died
-            second = None
-    except BaseException:
-        child.kill()
-        raise
-    finally:
-        conn.close()
-        child.join()
-        child.close()
-    return first, second
-
-
-def _parse_whole(path: str, width: int) -> np.ndarray:
-    """_parse_rows of the whole body, from the file's own handle.
+def _parse_whole(path: str, encoding: str, width: int, start: int, end: int) -> np.ndarray:
+    """_parse_range of the whole body, bytes [start, end) of the file.
 
     0 rows if every line is blank or a "#" comment: whitespace too counts as
     blank here, though loadtxt would parse it as a cell.
     """
-    with open(path, newline="") as fh:
-        fh.readline()
-        try:
-            holds = _holds_a_line(fh, lambda line: not line.split("#", 1)[0].strip())
-        except ValueError as exc:
-            raise MalformedInput(f"{path}: {exc}") from exc
-        return _parse_rows(fh, path, width) if holds else np.empty((0, width))
+    return _parse_range(
+        path, encoding, width, start, end, lambda line: not line.split("#", 1)[0].strip()
+    )
+
+
+def _first_blocks(path: str, encoding: str, width: int, lo: int, hi: int, m: int):
+    """The forked child's work: the first half of the body, cut along the blocks.
+
+    The first half starts at series row 0, so its rows are cut without an
+    offset. Returns the maxima of its whole blocks and the rows after them;
+    its row count is len(maxima) * m + len(rows after them).
+    """
+    return _cut_blocks(_parse_range(path, encoding, width, lo, hi), 0, m)[1:]
 
 
 def _read_maxima(path: str, m: int, *, _split: int | None = None):
     """The column names and block maxima of a CSV series, never the n x d series.
 
-    The body splits at the first line start after its byte midpoint (or at
-    byte offset `_split`, which must be a line start). The calling process
-    parses the first half while a forked child parses the second, when the
-    body holds at least _FORK_MIN_BYTES and core._fork_is_safe(); otherwise
-    the caller parses both halves in turn.
-
-    Once the caller knows its row count r, it sends r to the child, which
-    cuts its rows along the blocks of the whole series and sends back only
-    its first (-r) % m rows, which finish the caller's open block, the
-    maxima of its whole blocks, and its row count. A maximum is exact, so
-    the result is bit-identical to block_maxima of the whole series.
+    When the body holds at least _FORK_MIN_BYTES and core._fork_is_safe(),
+    it splits at the first line start after its byte midpoint (or at byte
+    offset `_split`, which must be a line start). A child forked by
+    core._process_pool parses the first half and sends back only the
+    maxima of its whole blocks and the rows after them, while the calling
+    process parses the second half. The caller cuts its rows along the
+    blocks of the whole series and finishes the block open at the split
+    from both sides' rows. A maximum is exact, so the result is
+    bit-identical to block_maxima of the whole series.
 
     Each half runs every check of a whole body: parse errors, the cell count
-    against the header, NaN or inf. A half that fails one does not report
-    it: the body is parsed again in one piece, so that the message and the
-    row numbers in it are the whole file's.
+    against the header, NaN or inf. A half that fails one, or a child that
+    dies, does not report it: the body is parsed again in one piece, so
+    that the message and the row numbers in it are the whole file's. A
+    smaller body, or one in a process that may not fork, is parsed in one
+    piece from the start.
     """
     try:
         with open(path, newline="") as fh:
@@ -199,26 +162,29 @@ def _read_maxima(path: str, m: int, *, _split: int | None = None):
         names = tuple(cell.strip() for cell in header.rstrip("\r\n").split(","))
         width = len(names)
         start = len(header.encode(encoding))
-        split = _split
-        if split is None:
-            with open(path, "rb") as raw:
-                raw.seek((start + end) // 2)
-                raw.readline()
-                split = raw.tell()
-        fork = end - start >= _FORK_MIN_BYTES and _fork_is_safe()
-        read = functools.partial(_parse_range, path, encoding, width)
-        try:
-            first, second = _parse_halves(
-                functools.partial(read, start, split), functools.partial(read, split, end), m, fork
-            )
-        except ValueError:
-            second = None
-        if second is None:
-            first = _parse_whole(path, width)
-            second = (first[:0], first[:0], 0)  # the whole body is the first half
+        first = None
+        if end - start >= _FORK_MIN_BYTES and _fork_is_safe():
+            split = _split
+            if split is None:
+                with open(path, "rb") as raw:
+                    raw.seek((start + end) // 2)
+                    raw.readline()
+                    split = raw.tell()
+            try:
+                with _process_pool(1) as pool:
+                    child = pool.submit(_first_blocks, path, encoding, width, start, split, m)
+                    rows = _parse_range(path, encoding, width, split, end)
+                    first = child.result()
+            except (ValueError, BrokenExecutor):
+                pass  # the whole body is parsed below, for the whole file's message
+        if first is None:
+            rows = _parse_whole(path, encoding, width, start, end)
+            first = rows[:0], rows[:0]  # no first half: the whole body is the second
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    n = len(first) + second[2]
+    maxima, left_open = first
+    r = len(maxima) * m + len(left_open)
+    n = r + len(rows)
     if n == 0:
         raise MalformedInput(f"{path}: no data rows")
     if len(set(names)) != width:
@@ -226,9 +192,8 @@ def _read_maxima(path: str, m: int, *, _split: int | None = None):
     if "" in names:
         raise MalformedInput(f"{path}: column {names.index('')} has an empty name")
     _check_block_length(m, n)
-    _, maxima, left_open = _cut_blocks(first, 0, m)
-    head, rest, _ = second
-    # the block the first half leaves open, finished by the second's head
+    head, rest, _ = _cut_blocks(rows, r, m)
+    # the block left open at the split, finished by the second half's head
     straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
     values = np.concatenate([maxima, straddle, rest])
     return names, MaximaMatrix(values, block_length=m, source_length=n)
@@ -361,13 +326,14 @@ def cmd_experiment(args) -> int:
 
 def cmd_seco(args) -> int:
     _check_block_length(args.block_size)
-    names, maxima = _read_maxima(args.input, args.block_size)
-    pobs = pseudo_obs(maxima)
+    # a missing partition fails before the CSV's parse, about 1 s at 100 MB
     try:
         with open(args.partition) as fh:
             text = fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {args.partition}: {exc}") from exc
+    names, maxima = _read_maxima(args.input, args.block_size)
+    pobs = pseudo_obs(maxima)
     part = partition_from_json(text, names)
     sys.stdout.write(_fmt(seco(pobs, part)) + "\n")
     return 0

@@ -440,3 +440,16 @@ def _fork_is_safe() -> bool:
     import multiprocessing
 
     return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+def _process_pool(workers: int):
+    """A pool of `workers` processes, forked if _fork_is_safe(), else spawned.
+
+    Every worker process the package starts comes from here.
+    """
+    # imported here: at module level they would slow `import tailclust`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)

@@ -27,7 +27,7 @@ from .core import (
     InvalidParam,
     Partition,
     _check_block_length,
-    _fork_is_safe,
+    _process_pool,
     partitions_equal,
 )
 from .estimators import chi_matrix, seco, tau_theory
@@ -193,16 +193,6 @@ def _run_task(cfg: ExperimentConfig, task: tuple) -> dict:
     # module level, so a process pool can pickle it; _one_rep is looked up
     # at call time
     return _one_rep(cfg, *task)
-
-
-def _process_pool(workers: int):
-    # imported here: at module level they would slow `import tailclust`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # spawn fresh interpreters where a fork is not safe
-    context = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, files, and determinism."""
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -192,6 +193,7 @@ def test_cluster_malformed_csv(tmp_path, capsys):
         "noheadernums.csv": "a,b\n",
         "blankbody.csv": "a,b\n\n  \n",
         "commentbody.csv": "a,b\n# no rows yet\n",
+        "spacesfirst.csv": "a,b\n  \n1,2\n3,4\n",  # blank to the emptiness check only
     }
     for name, content in cases.items():
         path = tmp_path / name
@@ -202,6 +204,8 @@ def test_cluster_malformed_csv(tmp_path, capsys):
         err = capsys.readouterr().err
         if name in ("noheadernums.csv", "blankbody.csv", "commentbody.csv"):
             assert err.endswith(f"{name}: no data rows\n")
+        if name == "spacesfirst.csv":
+            assert err.endswith(f"{name}: could not convert string '  ' to float64 at row 0, column 1.\n")
 
 
 def test_cluster_malformed_csv_messages_name_the_file_once(tmp_path, capsys):
@@ -222,7 +226,7 @@ def test_cluster_rejects_an_empty_column_name(header, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the CSV reader: two block-aligned halves, the second in a forked child
+# the CSV reader: two halves split at a line start, the first in a forked child
 
 
 def assert_no_child_left():
@@ -235,14 +239,20 @@ def assert_no_child_left():
 def record_forks(monkeypatch):
     """Fork at any body size, and record whether each read forked."""
     forks = []
-    parse_halves = cli._parse_halves
+    read_maxima, process_pool = cli._read_maxima, cli._process_pool
 
-    def recording(read_first, read_second, m, fork):
-        forks.append(fork)
-        return parse_halves(read_first, read_second, m, fork)
+    def reading(*args, **private):
+        forks.append(False)
+        return read_maxima(*args, **private)
+
+    def forking(workers):
+        assert workers == 1
+        forks[-1] = True
+        return process_pool(workers)
 
     monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
-    monkeypatch.setattr(cli, "_parse_halves", recording)
+    monkeypatch.setattr(cli, "_read_maxima", reading)
+    monkeypatch.setattr(cli, "_process_pool", forking)
     return forks
 
 
@@ -277,21 +287,47 @@ _ROWS = [
 def test_reader_equals_block_maxima_of_the_loaded_series_at_every_split(
     tmp_path, m, fork, monkeypatch, record_forks
 ):
-    if not fork:
+    if fork:
+        # a half that fails would hide behind the one-pass parse
+        monkeypatch.setattr(cli, "_parse_whole", lambda *args: pytest.fail("a half failed"))
+    else:
         monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
     path = tmp_path / "series.csv"
     text = "a,b,c\n" + "\n".join(_ROWS) + "\n# the end\n"
-    path.write_bytes(text.encode())
+    reads = 0
+    for newline in ("\n", "\r"):  # a bare \r ends a line as \n and \r\n do
+        path.write_bytes(text.replace("\n", newline).encode())
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert raw.shape == (13, 3)
+        expect = block_maxima(SeriesMatrix(raw, ("a", "b", "c")), m)
+        starts = list(itertools.accumulate(map(len, path.read_bytes().splitlines(keepends=True))))
+        for split in starts:  # every line start
+            names, got = cli._read_maxima(str(path), m, _split=split)
+            assert names == ("a", "b", "c")
+            assert (got.block_length, got.source_length) == (m, raw.shape[0])
+            assert got.values.tobytes() == expect.values.tobytes(), (newline, split)
+        reads += len(starts)
+    assert record_forks == [fork] * reads
+    assert_no_child_left()
+
+
+def test_reader_parses_the_whole_body_when_the_child_dies(tmp_path, monkeypatch, record_forks):
+    path = tmp_path / "series.csv"
+    path.write_text("a,b,c\n" + "\n".join(_ROWS) + "\n")
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    expect = block_maxima(SeriesMatrix(raw, ("a", "b", "c")), m)
-    data = text.encode()
-    starts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]  # every line start
-    for split in starts:
-        names, got = cli._read_maxima(str(path), m, _split=split)
-        assert names == ("a", "b", "c")
-        assert (got.block_length, got.source_length) == (m, raw.shape[0])
-        assert got.values.tobytes() == expect.values.tobytes(), split
-    assert record_forks == [fork] * len(starts)
+    expect = block_maxima(SeriesMatrix(raw, ("a", "b", "c")), 2)
+    caller = os.getpid()
+    parse_range = cli._parse_range
+
+    def die_in_child(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return parse_range(*args)
+
+    monkeypatch.setattr(cli, "_parse_range", die_in_child)
+    names, got = cli._read_maxima(str(path), 2)
+    assert got.values.tobytes() == expect.values.tobytes()
+    assert record_forks == [True]
     assert_no_child_left()
 
 
@@ -375,7 +411,7 @@ def test_reader_leaves_no_child_after_success_or_an_error_in_the_caller(
             raise RuntimeError("stopped in the caller")
         return parse_range(*args)
 
-    # the child waits for the caller's row count, so it is still running
+    # the caller fails while the child may still be parsing its half
     monkeypatch.setattr(cli, "_parse_range", fail_in_caller)
     with pytest.raises(RuntimeError, match="stopped in the caller"):
         main(argv)
@@ -401,11 +437,11 @@ def test_reader_forks_only_without_another_thread(noise_csv, tmp_path, capsys, r
 
 
 def test_reader_does_not_fork_for_a_small_body(noise_csv, monkeypatch, capsys):
-    forks = []
-    parse_halves = cli._parse_halves
-    monkeypatch.setattr(cli, "_parse_halves", lambda *args: forks.append(args[-1]) or parse_halves(*args))
+    pools = []
+    process_pool = cli._process_pool
+    monkeypatch.setattr(cli, "_process_pool", lambda workers: pools.append(workers) or process_pool(workers))
     assert main(["cluster", "--input", str(noise_csv), "--block-size", "20", "--tau", "0.5"]) == 0
-    assert forks == [False]
+    assert pools == []
     capsys.readouterr()
 
 
@@ -627,6 +663,18 @@ def test_seco_rejects_the_block_length_before_reading_the_input(monkeypatch, cap
     argv = ["seco", "--input", "unread.csv", "--block-size", "0", "--partition", "unread.json"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: block length must be a positive integer\n"
+
+
+def test_seco_reads_the_partition_before_the_input(monkeypatch, tmp_path, capsys):
+    def read_maxima(path, m, **private):
+        raise AssertionError(f"{path} was read before the partition")
+
+    monkeypatch.setattr(cli, "_read_maxima", read_maxima)
+    missing = tmp_path / "missing.json"
+    argv = ["seco", "--input", "unread.csv", "--block-size", "2", "--partition", str(missing)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_seco_rejects_a_single_block(tmp_path, capsys):
