@@ -8,6 +8,7 @@ significant digits so seeded reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -17,19 +18,21 @@ from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
-from .cluster import eco_cluster, scan_to_csv, select_threshold
+from .cluster import _grid, eco_cluster, scan_to_csv, select_threshold
 from .core import (
     InvalidParam,
     MalformedInput,
     MaximaMatrix,
     TailclustError,
     _check_block_length,
+    _csv_matrix,
+    _fmt,
     _fork_is_safe,
     _process_pool,
     partition_from_json,
     partition_to_json,
 )
-from .estimators import chi_matrix, chi_to_csv, seco, tau_theory
+from .estimators import chi_matrix, chi_to_csv, seco
 from .experiments import ExperimentConfig, results_to_csv, run_experiment
 from .maxima import _cut_blocks, pseudo_obs
 from .simulate import RepetitionConfig, build_experiment_model, repetition_process
@@ -46,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # Below this many body bytes the reader parses the whole body in the calling
 # process: importing the process pool and a round trip through a forked
 # one-worker pool take about 40 ms in a fresh process (about 19 ms once
@@ -58,47 +57,44 @@ def _fmt(x: float) -> str:
 _FORK_MIN_BYTES = 8 << 20
 
 
-def _skipped(line: str) -> bool:
-    """Whether loadtxt skips the line: empty, or only a "#" comment."""
-    return not line.split("#", 1)[0].rstrip("\r\n")
-
-
 def _lines(raw, encoding: str, size: int):
     """The next `size` bytes of a binary file as text lines, with their ends.
 
     A line ends at "\n", "\r\n" or a bare "\r", as in a file read in text
-    mode.
+    mode. Blank lines are dropped: empty, only whitespace, or whitespace and
+    then a "#" comment.
     """
     while size > 0:
         line = raw.readline(size)
         if not line:
             return
         size -= len(line)
-        # loadtxt rejects a "\r" inside a line it is given; splitting only
-        # then spares the copy of every line
-        for piece in line.splitlines(keepends=True) if b"\r" in line else (line,):
-            yield piece.decode(encoding)
+        # loadtxt takes a line that ends in "\r\n" or "\r" but rejects any
+        # other "\r"; splitting only then spares the copy of every line
+        end = len(line) - 1 - line.endswith(b"\r\n")
+        for piece in line.splitlines(keepends=True) if line.find(b"\r", 0, end) >= 0 else (line,):
+            text = piece.decode(encoding)
+            # loadtxt would read a line of whitespace as one cell; only a line
+            # that starts with whitespace or "#" can be blank
+            if (text[0].isspace() or text[0] == "#") and not text.split("#", 1)[0].strip():
+                continue
+            yield text
 
 
-def _parse_range(path: str, encoding: str, width: int, lo: int, hi: int, blank=_skipped):
+def _parse_range(path: str, encoding: str, width: int, lo: int, hi: int):
     """The data rows of the body lines in bytes [lo, hi) of the file, checked as a body.
 
-    The lines stream into loadtxt: no copy of the range is held. If
-    blank(line) holds for every line, the range gives 0 rows: loadtxt would
-    warn that it holds no data.
+    The lines stream into loadtxt: no copy of the range is held. A range of
+    only blank lines gives 0 rows: loadtxt would warn that it holds no data.
     """
     with open(path, "rb") as raw:
         raw.seek(lo)
         lines = _lines(raw, encoding, hi - lo)
         try:
-            leading = []
-            for line in lines:
-                leading.append(line)
-                if not blank(line):
-                    break
-            else:
+            first = next(lines, None)
+            if first is None:
                 return np.empty((0, width))
-            rows = np.loadtxt(itertools.chain(leading, lines), delimiter=",", ndmin=2)
+            rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
         except ValueError as exc:
             raise MalformedInput(f"{path}: {exc}") from exc
     if rows.shape[1] != width:
@@ -106,17 +102,6 @@ def _parse_range(path: str, encoding: str, width: int, lo: int, hi: int, blank=_
     if not np.isfinite(rows).all():
         raise InvalidParam("series contains NaN or infinite entries")
     return rows
-
-
-def _parse_whole(path: str, encoding: str, width: int, start: int, end: int) -> np.ndarray:
-    """_parse_range of the whole body, bytes [start, end) of the file.
-
-    0 rows if every line is blank or a "#" comment: whitespace too counts as
-    blank here, though loadtxt would parse it as a cell.
-    """
-    return _parse_range(
-        path, encoding, width, start, end, lambda line: not line.split("#", 1)[0].strip()
-    )
 
 
 def _first_blocks(path: str, encoding: str, width: int, lo: int, hi: int, m: int):
@@ -178,7 +163,7 @@ def _read_maxima(path: str, m: int, *, _split: int | None = None):
             except (ValueError, BrokenExecutor):
                 pass  # the whole body is parsed below, for the whole file's message
         if first is None:
-            rows = _parse_whole(path, encoding, width, start, end)
+            rows = _parse_range(path, encoding, width, start, end)
             first = rows[:0], rows[:0]  # no first half: the whole body is the second
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
@@ -191,7 +176,6 @@ def _read_maxima(path: str, m: int, *, _split: int | None = None):
         raise InvalidParam("variable names must be unique")
     if "" in names:
         raise MalformedInput(f"{path}: column {names.index('')} has an empty name")
-    _check_block_length(m, n)
     head, rest, _ = _cut_blocks(rows, r, m)
     # the block left open at the split, finished by the second half's head
     straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
@@ -242,11 +226,7 @@ def cmd_cluster(args) -> int:
     if args.tau is not None:
         part = eco_cluster(chi, args.tau)
     else:
-        tau0 = tau_theory(args.block_size, maxima.d, maxima.k)
-        lo = 0.1 * tau0 if args.grid_lo is None else args.grid_lo
-        hi = 2.5 * tau0 if args.grid_hi is None else args.grid_hi
-        n = 41 if args.grid_n is None else args.grid_n
-        grid = [float(t) for t in np.unique(np.linspace(lo, hi, n))]
+        grid = _grid(args.block_size, maxima.d, maxima.k, args.grid_lo, args.grid_hi, args.grid_n)
         scan = select_threshold(pobs, chi, grid)
         part = eco_cluster(chi, scan.selected)
     text = partition_to_json(part, names)
@@ -268,11 +248,7 @@ def cmd_simulate(args) -> int:
     try:
         series = repetition_process(cfg, rng)
         names = series.names
-        # one % per row; each cell formats exactly as _fmt does
-        row_fmt = ",".join(["%.17g"] * series.d)
-        lines = [",".join(names)]
-        lines.extend(row_fmt % tuple(row) for row in series.values.tolist())
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, _csv_matrix(names, series.values))
         meta = {
             "experiment": args.experiment,
             "d": args.d,
@@ -296,23 +272,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig(
-        experiment=args.experiment,
-        framework=args.framework,
-        d=args.d,
-        p=args.p,
-        beta=args.beta,
-        reps=args.reps,
-        master_seed=args.seed,
-        n=args.n,
-        m=args.m,
-        m_grid=args.m_grid,
-        k_grid=args.k_grid,
-        tau_grid=args.tau_grid or (),
-        include_competitors=args.competitors,
-        skm_restarts=args.skm_restarts,
-        threads=args.threads,
-    )
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**{key: value for key, value in vars(args).items() if key in fields})
     try:
         rows = run_experiment(cfg)
         _write(args.out, results_to_csv(rows, timings=args.timings))
@@ -362,31 +323,35 @@ def _build_parser() -> _Parser:
     s.add_argument("--experiment", required=True, choices=("E1", "E2", "E3"))
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=float, default=1.0)
-    s.add_argument("--beta", type=float, default=10.0 / 7.0)
+    s.add_argument("--p", type=float, default=ExperimentConfig.p)
+    s.add_argument("--beta", type=float, default=ExperimentConfig.beta)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--margins", choices=("uniform", "frechet"), default="uniform")
     s.add_argument("--out", required=True, help="CSV path; sidecar written to <out>.json")
     s.set_defaults(func=cmd_simulate)
 
-    e = sub.add_parser("experiment", help="run a recovery study over a grid")
+    # a flag for an ExperimentConfig field has the field's name as its dest,
+    # and a flag not given leaves the field's default
+    e = sub.add_parser("experiment", help="run a recovery study over a grid",
+                       argument_default=argparse.SUPPRESS)
     e.add_argument("--experiment", required=True, choices=("E1", "E2", "E3"))
     e.add_argument("--framework", required=True, choices=("F1", "F2", "F3"))
     e.add_argument("--d", type=int, required=True)
-    e.add_argument("--p", type=float, default=1.0)
-    e.add_argument("--beta", type=float, default=10.0 / 7.0)
-    e.add_argument("--reps", type=int, default=100)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--n", type=int, default=10_000, help="series length (F1, F3)")
-    e.add_argument("--m", type=int, default=20, help="block length (F2, F3)")
-    e.add_argument("--m-grid", type=_int_list, default=(3, 6, 9, 12, 15, 18, 21, 24, 27, 30))
-    e.add_argument("--k-grid", type=_int_list, default=(50, 100, 200, 300, 400, 500))
-    e.add_argument("--tau-grid", type=_float_list, default=(), help="F3 grid (default: scan around tau_theory)")
-    e.add_argument("--competitors", action="store_true", help="also run the oracle-g baselines")
-    e.add_argument("--skm-restarts", type=int, default=10)
-    e.add_argument("--threads", type=int, default=1,
+    e.add_argument("--p", type=float)
+    e.add_argument("--beta", type=float)
+    e.add_argument("--reps", type=int)
+    e.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
+    e.add_argument("--n", type=int, help="series length (F1, F3)")
+    e.add_argument("--m", type=int, help="block length (F2, F3)")
+    e.add_argument("--m-grid", type=_int_list)
+    e.add_argument("--k-grid", type=_int_list)
+    e.add_argument("--tau-grid", type=_float_list, help="F3 grid (default: scan around tau_theory)")
+    e.add_argument("--competitors", action="store_true", dest="include_competitors",
+                   help="also run the oracle-g baselines")
+    e.add_argument("--skm-restarts", type=int)
+    e.add_argument("--threads", type=int,
                    help="parallel workers: this process and threads - 1 worker processes (default 1)")
-    e.add_argument("--timings", action="store_true",
+    e.add_argument("--timings", action="store_true", default=False,
                    help="append a wall_seconds column: the clustering time summed over a cell's "
                         "replications, without simulation and ranking; HC reuses the pairwise "
                         "sums that ECO computed")

@@ -23,9 +23,10 @@ from .core import (
     Partition,
     PseudoObs,
     _check_blocks,
+    _fmt,
     _from_labels,
 )
-from .estimators import extremal_coefficient, madogram, tau_theory
+from .estimators import _seco, tau_theory
 
 __all__ = [
     "eco_cluster",
@@ -76,17 +77,14 @@ class ThresholdScan:
             raise InvalidParam("selected tau must be a grid point")
 
 
-def select_threshold(
-    pobs: PseudoObs, chi: ChiMatrix, grid: Sequence[float], abs_tol: float = 0.0
-) -> ThresholdScan:
+def select_threshold(pobs: PseudoObs, chi: ChiMatrix, grid: Sequence[float]) -> ThresholdScan:
     """Scan tau over the grid and keep the greatest minimizer of the SECO.
 
     chi is chi_matrix(pobs), computed once by the caller and shared with the
     final eco_cluster call. Every grid point shares its pair order, the
     whole-set extremal coefficient and the coefficient of each distinct
     group, and each SECO equals seco(pobs, partition) bit for bit. selected
-    is the largest tau whose SECO lies within abs_tol of the minimum; the
-    default abs_tol = 0 breaks exact ties toward the larger tau.
+    is the largest tau whose SECO equals the minimum exactly.
     """
     taus = [float(t) for t in grid]
     if not taus:
@@ -95,27 +93,20 @@ def select_threshold(
         raise InvalidParam("grid values must be nonnegative")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise InvalidParam("grid must be strictly ascending")
-    if abs_tol < 0.0:
-        raise InvalidParam("abs_tol must be nonnegative")
     if (chi.d, chi.k) != (pobs.d, pobs.k):
         raise DimensionMismatch(
             f"chi matrix of d = {chi.d}, k = {chi.k} for pseudo-observations "
             f"of d = {pobs.d}, k = {pobs.k}"
         )
-    whole = extremal_coefficient(madogram(pobs, range(pobs.d))).value
     thetas: dict[tuple[int, ...], float] = {}
     secos = []
     sizes = []
     for tau in taus:
         part = eco_cluster(chi, tau)
-        for g in part.groups:
-            if g not in thetas:
-                thetas[g] = extremal_coefficient(madogram(pobs, g)).value
-        # the same sum, in the same group order, as estimators.seco
-        secos.append(sum(thetas[g] for g in part.groups) - whole)
+        secos.append(_seco(pobs, part.groups, thetas))
         sizes.append(part.n_groups)
-    cutoff = min(secos) + abs_tol
-    selected = max(t for t, s in zip(taus, secos) if s <= cutoff)
+    best = min(secos)
+    selected = max(t for t, s in zip(taus, secos) if s == best)
     return ThresholdScan(
         grid=tuple(taus),
         secos=tuple(secos),
@@ -126,8 +117,16 @@ def select_threshold(
 
 def default_grid(m: int, d: int, k: int) -> list[float]:
     """41 equally spaced thresholds spanning [0.1, 2.5] times tau_theory(m, d, k)."""
+    return _grid(m, d, k)
+
+
+def _grid(m: int, d: int, k: int, lo: float | None = None, hi: float | None = None,
+          n: int | None = None) -> list[float]:
+    """default_grid(m, d, k) with its lower end, upper end or size replaced where given."""
     tau0 = tau_theory(m, d, k)
-    return [float(t) for t in np.unique(np.linspace(0.1 * tau0, 2.5 * tau0, 41))]
+    lo = 0.1 * tau0 if lo is None else lo
+    hi = 2.5 * tau0 if hi is None else hi
+    return [float(t) for t in np.unique(np.linspace(lo, hi, 41 if n is None else n))]
 
 
 def scan_to_csv(scan: ThresholdScan) -> str:
@@ -135,5 +134,5 @@ def scan_to_csv(scan: ThresholdScan) -> str:
     lines = ["tau,seco,n_clusters,selected"]
     for tau, s, size in zip(scan.grid, scan.secos, scan.n_clusters):
         flag = 1 if tau == scan.selected else 0
-        lines.append(f"{format(tau, '.17g')},{format(s, '.17g')},{size},{flag}")
+        lines.append(f"{_fmt(tau)},{_fmt(s)},{size},{flag}")
     return "\n".join(lines) + "\n"

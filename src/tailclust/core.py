@@ -400,6 +400,20 @@ def is_subpartition(s: Partition, o: Partition) -> bool:
     return all(np.all(owner[list(g)] == owner[g[0]]) for g in s.groups)
 
 
+def _fmt(x: float) -> str:
+    """17 significant digits: every float64 reads back bit for bit."""
+    return format(float(x), ".17g")
+
+
+def _csv_matrix(names: Sequence[str], values: np.ndarray) -> str:
+    """A header of names, then one row of _fmt cells per row of a 2-D array."""
+    # one % per row; each cell formats exactly as _fmt does
+    row_fmt = ",".join(["%.17g"] * len(names))
+    lines = [",".join(names)]
+    lines.extend(row_fmt % tuple(row) for row in values.tolist())
+    return "\n".join(lines) + "\n"
+
+
 def partition_to_json(partition: Partition, names: Sequence[str]) -> str:
     """Serialize as {"clusters": [[name, ...], ...]} in canonical order."""
     if len(names) != partition.d:

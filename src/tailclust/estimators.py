@@ -29,6 +29,7 @@ from .core import (
     Partition,
     PseudoObs,
     _check_blocks,
+    _csv_matrix,
 )
 
 __all__ = [
@@ -132,9 +133,20 @@ def seco(pobs: PseudoObs, partition: Partition) -> float:
         raise DimensionMismatch(
             f"partition over {partition.d} variables, pseudo-observations have {pobs.d}"
         )
-    whole = extremal_coefficient(madogram(pobs, range(pobs.d))).value
-    parts = sum(extremal_coefficient(madogram(pobs, g)).value for g in partition.groups)
-    return parts - whole
+    return _seco(pobs, partition.groups, {})
+
+
+def _seco(pobs: PseudoObs, groups: Sequence[tuple[int, ...]], thetas: dict) -> float:
+    """seco of the partition into groups, memoizing each group's coefficient in thetas.
+
+    The whole set is the group tuple(range(d)), so a scan that passes one
+    dict for all its partitions computes every distinct group only once.
+    """
+    whole = tuple(range(pobs.d))
+    for g in (whole, *groups):
+        if g not in thetas:
+            thetas[g] = extremal_coefficient(madogram(pobs, g)).value
+    return sum(thetas[g] for g in groups) - thetas[whole]
 
 
 def meco(chi: ChiMatrix, partition: Partition) -> float:
@@ -179,8 +191,4 @@ def chi_to_csv(chi: ChiMatrix, names: Sequence[str], clip: bool = False) -> str:
     vals = chi.values
     if clip:
         vals = np.clip(vals, 0.0, 1.0)
-    # one % per row; each cell formats exactly as format(x, ".17g")
-    row_fmt = ",".join(["%.17g"] * chi.d)
-    lines = [",".join(names)]
-    lines.extend(row_fmt % tuple(row) for row in vals.tolist())
-    return "\n".join(lines) + "\n"
+    return _csv_matrix(names, vals)

@@ -27,6 +27,7 @@ from .core import (
     InvalidParam,
     Partition,
     _check_block_length,
+    _fmt,
     _process_pool,
     partitions_equal,
 )
@@ -204,14 +205,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     index), so rows are identical for any worker count.
 
     The replications run on w = min(cfg.threads, replications) workers. The
-    calling process is one of them: one pool thread, where a replication
-    runs about 10% faster than on the calling thread, takes every w-th
-    replication from the first. The others run in w - 1 worker processes,
-    since a replication makes many short numpy calls and threads would hand
-    the interpreter lock to each other. Workers are forked when no other
-    thread is running, else spawned. Once a replication raises, those not
-    yet handed to a worker are cancelled, and every worker has exited when
-    this returns or raises.
+    calling process is one of them: one pool thread takes every w-th
+    replication from the first, and the calling thread collects the results
+    in order. The others run in w - 1 worker processes, since a replication
+    makes many short numpy calls and threads would hand the interpreter lock
+    to each other. Workers are forked when no other thread is running, else
+    spawned. Once a replication raises, those not yet handed to a worker are
+    cancelled, and every worker has exited when this returns or raises.
     """
     grid_param, grid_values = cfg.grid()
     tasks = [(gi, value, ri) for gi, value in enumerate(grid_values) for ri in range(cfg.reps)]
@@ -268,12 +268,12 @@ def results_to_csv(rows: Sequence[ResultRow], timings: bool = False) -> str:
             r.experiment,
             r.framework,
             r.grid_param,
-            format(r.grid_value, ".17g"),
+            _fmt(r.grid_value),
             r.algorithm,
-            format(r.recovery_rate, ".17g"),
-            "" if r.mean_seco is None else format(r.mean_seco, ".17g"),
+            _fmt(r.recovery_rate),
+            "" if r.mean_seco is None else _fmt(r.mean_seco),
         ]
         if timings:
-            fields.append(format(r.wall_seconds, ".17g"))
+            fields.append(_fmt(r.wall_seconds))
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"

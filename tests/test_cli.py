@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailclust import MalformedInput, SeriesMatrix, block_maxima, cli, tau_theory
+from tailclust import SeriesMatrix, block_maxima, cli, tau_theory
 from tailclust.cli import main
 
 
@@ -193,7 +193,7 @@ def test_cluster_malformed_csv(tmp_path, capsys):
         "noheadernums.csv": "a,b\n",
         "blankbody.csv": "a,b\n\n  \n",
         "commentbody.csv": "a,b\n# no rows yet\n",
-        "spacesfirst.csv": "a,b\n  \n1,2\n3,4\n",  # blank to the emptiness check only
+        "spacesfirst.csv": "a,b\n  \n1,2\n3,4\n",  # a blank line, then a single block
     }
     for name, content in cases.items():
         path = tmp_path / name
@@ -205,7 +205,7 @@ def test_cluster_malformed_csv(tmp_path, capsys):
         if name in ("noheadernums.csv", "blankbody.csv", "commentbody.csv"):
             assert err.endswith(f"{name}: no data rows\n")
         if name == "spacesfirst.csv":
-            assert err.endswith(f"{name}: could not convert string '  ' to float64 at row 0, column 1.\n")
+            assert err == "error: need at least 2 blocks; lower the block size\n"
 
 
 def test_cluster_malformed_csv_messages_name_the_file_once(tmp_path, capsys):
@@ -257,14 +257,17 @@ def record_forks(monkeypatch):
 
 
 # rows of a 3-column series: signed zeros and ties inside blocks, blank and
-# comment lines (one after a row, one with \r\n) between them
+# comment lines (one after a row, one with \r\n, some of only whitespace)
+# between them
 _ROWS = [
     "0.0,-0.0,1.5",
     "",
     "-0.0,0.0,1.5",
     "# a comment",
     "2.25,-1e-300,7",
+    " \t ",
     "1e300,3,  -2",
+    "  # a note",
     "#",
     "0.5,0.5,0.5 # trailing note",
     "-0.0,-0.0,-0.0\r",
@@ -280,6 +283,11 @@ _ROWS = [
     "-0.0,2,0.0",
     "5e-324,-5e-324,0",
 ]
+# the series _ROWS holds: loadtxt itself would read a line of whitespace as one cell
+_SERIES = SeriesMatrix(
+    np.loadtxt([row for row in _ROWS if row.split("#")[0].strip()], delimiter=",", ndmin=2),
+    ("a", "b", "c"),
+)
 
 
 @pytest.mark.parametrize("fork", [False, True], ids=["in-caller", "forked"])
@@ -287,25 +295,37 @@ _ROWS = [
 def test_reader_equals_block_maxima_of_the_loaded_series_at_every_split(
     tmp_path, m, fork, monkeypatch, record_forks
 ):
+    caller_ranges = []
     if fork:
-        # a half that fails would hide behind the one-pass parse
-        monkeypatch.setattr(cli, "_parse_whole", lambda *args: pytest.fail("a half failed"))
+        # a half that fails would hide behind the whole-body parse: a second
+        # range that the calling process parses
+        caller, parse_range = os.getpid(), cli._parse_range
+
+        def parse_half(*args):
+            if os.getpid() == caller:
+                caller_ranges.append(args[3:])
+            return parse_range(*args)
+
+        monkeypatch.setattr(cli, "_parse_range", parse_half)
     else:
         monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
     path = tmp_path / "series.csv"
     text = "a,b,c\n" + "\n".join(_ROWS) + "\n# the end\n"
+    assert _SERIES.values.shape == (13, 3)
+    expect = block_maxima(_SERIES, m)
     reads = 0
-    for newline in ("\n", "\r"):  # a bare \r ends a line as \n and \r\n do
-        path.write_bytes(text.replace("\n", newline).encode())
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert raw.shape == (13, 3)
-        expect = block_maxima(SeriesMatrix(raw, ("a", "b", "c")), m)
-        starts = list(itertools.accumulate(map(len, path.read_bytes().splitlines(keepends=True))))
+    for newline in ("\n", "\r", "\r\n"):  # a bare \r ends a line as \n and \r\n do
+        body = text.replace("\n", newline).encode()
+        path.write_bytes(body)
+        starts = list(itertools.accumulate(map(len, body.splitlines(keepends=True))))
         for split in starts:  # every line start
             names, got = cli._read_maxima(str(path), m, _split=split)
             assert names == ("a", "b", "c")
-            assert (got.block_length, got.source_length) == (m, raw.shape[0])
+            assert (got.block_length, got.source_length) == (m, 13)
             assert got.values.tobytes() == expect.values.tobytes(), (newline, split)
+            if fork:
+                assert caller_ranges == [(split, len(body))], "a half failed"
+                caller_ranges.clear()
         reads += len(starts)
     assert record_forks == [fork] * reads
     assert_no_child_left()
@@ -314,8 +334,7 @@ def test_reader_equals_block_maxima_of_the_loaded_series_at_every_split(
 def test_reader_parses_the_whole_body_when_the_child_dies(tmp_path, monkeypatch, record_forks):
     path = tmp_path / "series.csv"
     path.write_text("a,b,c\n" + "\n".join(_ROWS) + "\n")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    expect = block_maxima(SeriesMatrix(raw, ("a", "b", "c")), 2)
+    expect = block_maxima(_SERIES, 2)
     caller = os.getpid()
     parse_range = cli._parse_range
 
@@ -351,8 +370,9 @@ def _body_rows(bad_row, line):
                           "use `usecols` to select a subset and avoid this error"),
         ("3.5,1,2", "second", "{path}: the number of columns changed from 2 to 3 at row 9; "
                               "use `usecols` to select a subset and avoid this error"),
-        ("   ", "second", "{path}: the number of columns changed from 2 to 1 at row 9; "
-                          "use `usecols` to select a subset and avoid this error"),
+        # a blank line is dropped and counts as no row
+        ("   \n3.5", "second", "{path}: the number of columns changed from 2 to 1 at row 9; "
+                               "use `usecols` to select a subset and avoid this error"),
         ("nan,1", "first", "series contains NaN or infinite entries"),
         ("nan,1", "second", "series contains NaN or infinite entries"),
         ("1,-inf", "first", "series contains NaN or infinite entries"),
@@ -376,23 +396,26 @@ def test_reader_reports_a_bad_row_in_either_half_as_one_pass_does(
 
 
 @pytest.mark.parametrize("fork", [False, True], ids=["in-caller", "forked"])
-def test_reader_rejects_a_half_of_only_whitespace_lines(tmp_path, fork, monkeypatch, record_forks):
-    # loadtxt reads a line of spaces as one cell, so a body with rows fails
-    # as a whole even when such lines are all its second half holds
+def test_reader_skips_a_half_of_only_whitespace_lines(tmp_path, fork, monkeypatch, record_forks):
     if not fork:
         monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
     path = tmp_path / "spaces.csv"
     rows = "a,b\n" + "".join(f"{i}.5,{i}\n" for i in range(10))
-    path.write_text(rows + (" " * 40 + "\n") * 3)
-    message = (
-        f"{path}: the number of columns changed from 2 to 1 at row 11; "
-        "use `usecols` to select a subset and avoid this error"
-    )
-    with pytest.raises(MalformedInput) as err:
-        cli._read_maxima(str(path), 2, _split=len(rows))
-    assert str(err.value) == message
+    path.write_text(rows + (" " * 40 + "\n") * 3 + "  # a note\n\t\n")
+    raw = np.loadtxt(rows.splitlines()[1:], delimiter=",", ndmin=2)
+    expect = block_maxima(SeriesMatrix(raw, ("a", "b")), 2)
+    names, got = cli._read_maxima(str(path), 2, _split=len(rows))
+    assert (names, got.source_length) == (("a", "b"), 10)
+    assert got.values.tobytes() == expect.values.tobytes()
     assert record_forks == [fork]
     assert_no_child_left()
+
+
+def test_reader_splits_a_last_line_that_ends_in_two_bare_returns(tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"a,b\n1,2\n3,4\r\r")  # the last line is empty
+    names, got = cli._read_maxima(str(path), 1)
+    assert got.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_reader_leaves_no_child_after_success_or_an_error_in_the_caller(
@@ -535,6 +558,28 @@ def test_experiment_writes_results(tmp_path, capsys):
     assert lines[0] == "experiment,framework,grid_param,grid_value,algorithm,recovery_rate,mean_seco"
     assert len(lines) == 3
     capsys.readouterr()
+
+
+def test_experiment_flags_land_in_their_config_fields(tmp_path, monkeypatch):
+    from tailclust import ExperimentConfig
+
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: configs.append(cfg) or [])
+    argv = ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "4",
+            "--out", str(tmp_path / "res.csv")]
+    assert main(argv) == 0
+    assert configs.pop() == ExperimentConfig("E1", "F3", 4)
+    flags = [
+        "--p", "0.9", "--beta", "2", "--reps", "7", "--seed", "11", "--n", "2000", "--m", "10",
+        "--m-grid", "5,10", "--k-grid", "30,60", "--tau-grid", "0.25,0.5", "--competitors",
+        "--skm-restarts", "3", "--threads", "2",
+    ]
+    assert main(argv + flags) == 0
+    assert configs.pop() == ExperimentConfig(
+        "E1", "F3", 4, p=0.9, beta=2.0, reps=7, master_seed=11, n=2000, m=10,
+        m_grid=(5, 10), k_grid=(30, 60), tau_grid=(0.25, 0.5), include_competitors=True,
+        skm_restarts=3, threads=2,
+    )
 
 
 def test_experiment_timings_column_is_opt_in(tmp_path, capsys):

@@ -211,13 +211,6 @@ def test_select_threshold_prefers_largest_minimizer(rng):
     assert scan.selected == 0.9
 
 
-def test_select_threshold_abs_tol_widens_the_tie(rng):
-    p = random_pobs(rng, 50, 4)
-    grid = [0.1, 0.3, 0.6, 0.9]
-    loose = select_threshold(p, chi_matrix(p), grid, abs_tol=1e9)
-    assert loose.selected == 0.9
-
-
 def test_select_threshold_validation(rng):
     p = random_pobs(rng, 20, 3)
     chi = chi_matrix(p)
@@ -227,8 +220,6 @@ def test_select_threshold_validation(rng):
         select_threshold(p, chi, [0.3, 0.2])
     with pytest.raises(InvalidParam):
         select_threshold(p, chi, [-0.1, 0.2])
-    with pytest.raises(InvalidParam):
-        select_threshold(p, chi, [0.1, 0.2], abs_tol=-1.0)
     # a chi matrix of other data is refused, not scanned
     with pytest.raises(DimensionMismatch):
         select_threshold(p, chi_matrix(random_pobs(rng, 20, 4)), [0.1, 0.2])
