@@ -8,6 +8,8 @@ significant digits so seeded reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import dataclasses
 import itertools
 import json
@@ -18,7 +20,8 @@ from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
-from .cluster import _grid, eco_cluster, scan_to_csv, select_threshold
+from . import kernels
+from .cluster import _check_tau, _grid, eco_cluster, scan_to_csv, select_threshold
 from .core import (
     InvalidParam,
     MalformedInput,
@@ -28,8 +31,11 @@ from .core import (
     _csv_matrix,
     _fmt,
     _fork_is_safe,
+    _killed_on_error,
+    _load_clusters,
+    _memo,
     _process_pool,
-    partition_from_json,
+    _resolve_clusters,
     partition_to_json,
 )
 from .estimators import chi_matrix, chi_to_csv, seco
@@ -49,11 +55,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Below this many body bytes the reader parses the whole body in the calling
-# process: importing the process pool and a round trip through a forked
-# one-worker pool take about 40 ms in a fresh process (about 19 ms once
-# imported, with a 1.6 MB result), more than a parallel half saves below a
-# few MB (loadtxt parses about 115 MB/s on one vCPU of a shared Xeon host).
+# From this many body bytes, cluster and seco fork one worker that parses the
+# first half of the body. In cluster it lives until the command ends, and
+# also sums half of the pairs for chi and formats chi.csv. Below it the
+# calling process does all the work: importing the process pool and
+# a round trip through a forked one-worker pool take about 40 ms in a fresh
+# process (about 19 ms once imported, with a 1.6 MB result), more than a
+# parallel half of the parse saves below a few MB (loadtxt parses about
+# 115 MB/s on one vCPU of a shared Xeon host).
 _FORK_MIN_BYTES = 8 << 20
 
 
@@ -114,73 +123,117 @@ def _first_blocks(path: str, encoding: str, width: int, lo: int, hi: int, m: int
     return _cut_blocks(_parse_range(path, encoding, width, lo, hi), 0, m)[1:]
 
 
-def _read_maxima(path: str, m: int, *, _split: int | None = None):
+@contextlib.contextmanager
+def _reading(path: str, m: int, *, _split: int | None = None):
     """The column names and block maxima of a CSV series, never the n x d series.
 
-    When the body holds at least _FORK_MIN_BYTES and core._fork_is_safe(),
-    it splits at the first line start after its byte midpoint (or at byte
-    offset `_split`, which must be a line start). A child forked by
-    core._process_pool parses the first half and sends back only the
-    maxima of its whole blocks and the rows after them, while the calling
-    process parses the second half. The caller cuts its rows along the
-    blocks of the whole series and finishes the block open at the split
-    from both sides' rows. A maximum is exact, so the result is
-    bit-identical to block_maxima of the whole series.
+    A context manager that yields (names, maxima, pool). When the body holds
+    at least _FORK_MIN_BYTES and core._fork_is_safe(), it splits at the
+    first line start after its byte midpoint (or at byte offset `_split`,
+    which must be a line start). The one worker of a core._process_pool
+    parses the first half and sends back only the maxima of its whole
+    blocks and the rows after them, while the calling process parses the
+    second half. The caller cuts its rows along the blocks of the whole
+    series and finishes the block open at the split from both sides' rows.
+    A maximum is exact, so the result is bit-identical to block_maxima of
+    the whole series. pool is that worker's pool, for more work until the
+    with block exits; an exception that leaves the block kills the worker.
 
     Each half runs every check of a whole body: parse errors, the cell count
-    against the header, NaN or inf. A half that fails one, or a child that
+    against the header, NaN or inf. A half that fails one, or a worker that
     dies, does not report it: the body is parsed again in one piece, so
-    that the message and the row numbers in it are the whole file's. A
-    smaller body, or one in a process that may not fork, is parsed in one
-    piece from the start.
+    that the message and the row numbers in it are the whole file's, and
+    pool is None. A smaller body, or one in a process that may not fork, is
+    parsed in one piece from the start, with no worker.
     """
-    try:
-        with open(path, newline="") as fh:
-            try:
-                header = fh.readline()
-            except ValueError as exc:
-                raise MalformedInput(f"{path}: {exc}") from exc
-            encoding = fh.encoding
-            end = os.fstat(fh.fileno()).st_size
-        if not header.strip():
-            raise MalformedInput(f"{path}: empty input")
-        names = tuple(cell.strip() for cell in header.rstrip("\r\n").split(","))
-        width = len(names)
-        start = len(header.encode(encoding))
-        first = None
-        if end - start >= _FORK_MIN_BYTES and _fork_is_safe():
-            split = _split
-            if split is None:
-                with open(path, "rb") as raw:
-                    raw.seek((start + end) // 2)
-                    raw.readline()
-                    split = raw.tell()
-            try:
-                with _process_pool(1) as pool:
+    with contextlib.ExitStack() as stack:
+        pool = None
+        try:
+            with open(path, newline="") as fh:
+                try:
+                    header = fh.readline()
+                except ValueError as exc:
+                    raise MalformedInput(f"{path}: {exc}") from exc
+                encoding = fh.encoding
+                end = os.fstat(fh.fileno()).st_size
+            if not header.strip():
+                raise MalformedInput(f"{path}: empty input")
+            names = tuple(cell.strip() for cell in header.rstrip("\r\n").split(","))
+            width = len(names)
+            start = len(header.encode(encoding))
+            first = None
+            if end - start >= _FORK_MIN_BYTES and _fork_is_safe():
+                split = _split
+                if split is None:
+                    with open(path, "rb") as raw:
+                        raw.seek((start + end) // 2)
+                        raw.readline()
+                        split = raw.tell()
+                pool = stack.enter_context(_killed_on_error(_process_pool(1)))
+                try:
                     child = pool.submit(_first_blocks, path, encoding, width, start, split, m)
                     rows = _parse_range(path, encoding, width, split, end)
                     first = child.result()
-            except (ValueError, BrokenExecutor):
-                pass  # the whole body is parsed below, for the whole file's message
-        if first is None:
-            rows = _parse_range(path, encoding, width, start, end)
-            first = rows[:0], rows[:0]  # no first half: the whole body is the second
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    maxima, left_open = first
-    r = len(maxima) * m + len(left_open)
-    n = r + len(rows)
-    if n == 0:
-        raise MalformedInput(f"{path}: no data rows")
-    if len(set(names)) != width:
-        raise InvalidParam("variable names must be unique")
-    if "" in names:
-        raise MalformedInput(f"{path}: column {names.index('')} has an empty name")
-    head, rest, _ = _cut_blocks(rows, r, m)
-    # the block left open at the split, finished by the second half's head
-    straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
-    values = np.concatenate([maxima, straddle, rest])
-    return names, MaximaMatrix(values, block_length=m, source_length=n)
+                except (ValueError, BrokenExecutor):
+                    pool = None  # the whole body is parsed below, for the whole file's message
+            if first is None:
+                rows = _parse_range(path, encoding, width, start, end)
+                first = rows[:0], rows[:0]  # no first half: the whole body is the second
+        except OSError as exc:
+            raise MalformedInput(f"cannot read {path}: {exc}") from exc
+        maxima, left_open = first
+        r = len(maxima) * m + len(left_open)
+        n = r + len(rows)
+        if n == 0:
+            raise MalformedInput(f"{path}: no data rows")
+        if len(set(names)) != width:
+            raise InvalidParam("variable names must be unique")
+        if "" in names:
+            raise MalformedInput(f"{path}: column {names.index('')} has an empty name")
+        head, rest, _ = _cut_blocks(rows, r, m)
+        # the block left open at the split, finished by the second half's head
+        straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
+        values = np.concatenate([maxima, straddle, rest])
+        yield names, MaximaMatrix(values, block_length=m, source_length=n), pool
+
+
+def _read_maxima(path: str, m: int, *, _split: int | None = None):
+    """The column names and block maxima of _reading, its worker already closed."""
+    with _reading(path, m, _split=_split) as (names, maxima, _):
+        return names, maxima
+
+
+def _in_worker(pool, fn, *args):
+    """Start fn(*args) in the pool's worker; returns a function that waits for the result.
+
+    With no pool, or a worker that has died, fn runs in the calling process
+    when its result is asked for.
+    """
+    future = None
+    with contextlib.suppress(BrokenExecutor):
+        future = pool and pool.submit(fn, *args)
+
+    def result():
+        with contextlib.suppress(BrokenExecutor):
+            if future:
+                return future.result()
+        return fn(*args)
+
+    return result
+
+
+def _pairwise_in_halves(pool, pobs) -> None:
+    """Fill pobs.abs_diff_sums from two row ranges of its pairs, the first in the pool's worker.
+
+    The first c rows of the upper triangle hold at least half of its pairs,
+    and c is the least such count. The ranges sum disjoint entries, so the
+    matrix is bit-identical to one kernel call over every row.
+    """
+    d = pobs.d
+    c = next(c for c in range(d) if 2 * c * (2 * d - c - 1) >= d * (d - 1))
+    theirs = _in_worker(pool, kernels.pairwise_abs_diff_sums, pobs.values, 0, c)
+    mine = kernels.pairwise_abs_diff_sums(pobs.values, c, d - 1)
+    _memo(pobs, "_abs_diff_sums", lambda: theirs() + mine)
 
 
 def _write(path: str, text: str) -> None:
@@ -209,6 +262,7 @@ def cmd_cluster(args) -> int:
                 raise MalformedInput(f"--{flag.replace('_', '-')} requires --auto-tau")
         if args.out_scan:
             raise MalformedInput("--out-scan requires --auto-tau")
+        _check_tau(args.tau)
     elif args.grid_n is not None and args.grid_n < 1:
         raise MalformedInput("--grid-n must be positive")
     else:
@@ -219,25 +273,31 @@ def cmd_cluster(args) -> int:
         if any(b is not None and b < 0.0 for b in (args.grid_lo, args.grid_hi)):
             raise InvalidParam("grid values must be nonnegative")
     _check_block_length(args.block_size)
-    names, maxima = _read_maxima(args.input, args.block_size)
-    pobs = pseudo_obs(maxima)
-    chi = chi_matrix(pobs)
-    scan = None
-    if args.tau is not None:
-        part = eco_cluster(chi, args.tau)
-    else:
-        grid = _grid(args.block_size, maxima.d, maxima.k, args.grid_lo, args.grid_hi, args.grid_n)
-        scan = select_threshold(pobs, chi, grid)
-        part = eco_cluster(chi, scan.selected)
-    text = partition_to_json(part, names)
-    if args.out_partition:
-        _write(args.out_partition, text)
-    else:
-        sys.stdout.write(text)
-    if args.out_chi:
-        _write(args.out_chi, chi_to_csv(chi, names, clip=args.clip_chi))
-    if args.out_scan:
-        _write(args.out_scan, scan_to_csv(scan))
+    with _reading(args.input, args.block_size) as (names, maxima, pool):
+        pobs = pseudo_obs(maxima)
+        if pool is not None:
+            _pairwise_in_halves(pool, pobs)
+        chi = chi_matrix(pobs)
+        if args.out_chi:
+            # a copy, whose instance dict the scan's pair-order memo leaves
+            # alone while the pool pickles it
+            chi_text = _in_worker(pool, chi_to_csv, copy.copy(chi), names, args.clip_chi)
+        scan = None
+        if args.tau is not None:
+            part = eco_cluster(chi, args.tau)
+        else:
+            grid = _grid(args.block_size, maxima.d, maxima.k, args.grid_lo, args.grid_hi, args.grid_n)
+            scan = select_threshold(pobs, chi, grid)
+            part = eco_cluster(chi, scan.selected)
+        text = partition_to_json(part, names)
+        if args.out_partition:
+            _write(args.out_partition, text)
+        else:
+            sys.stdout.write(text)
+        if args.out_chi:
+            _write(args.out_chi, chi_text())
+        if args.out_scan:
+            _write(args.out_scan, scan_to_csv(scan))
     return 0
 
 
@@ -287,15 +347,19 @@ def cmd_experiment(args) -> int:
 
 def cmd_seco(args) -> int:
     _check_block_length(args.block_size)
-    # a missing partition fails before the CSV's parse, about 1 s at 100 MB
+    # a missing or malformed partition fails before the CSV's parse, about
+    # 1 s at 100 MB; its names are resolved after it
     try:
         with open(args.partition) as fh:
             text = fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {args.partition}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{args.partition}: {exc}") from exc
+    clusters = _load_clusters(text)
     names, maxima = _read_maxima(args.input, args.block_size)
     pobs = pseudo_obs(maxima)
-    part = partition_from_json(text, names)
+    part = _resolve_clusters(clusters, names)
     sys.stdout.write(_fmt(seco(pobs, part)) + "\n")
     return 0
 

@@ -51,10 +51,15 @@ def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
     tests of O(d) each, so a threshold scan pays for the sort once.
     A single block (k = 1) makes every chi exactly 1 and is rejected.
     """
-    if not tau >= 0.0:
-        raise InvalidParam("tau must be a nonnegative real")
+    _check_tau(tau)
     _check_blocks(chi.k)
     return _from_labels(kernels.eco_labels(chi.values, float(tau), chi.pair_order))
+
+
+def _check_tau(tau: float) -> None:
+    """Reject a threshold that is negative or NaN."""
+    if not tau >= 0.0:
+        raise InvalidParam("tau must be a nonnegative real")
 
 
 @dataclass(frozen=True)

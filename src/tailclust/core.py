@@ -7,6 +7,7 @@ across threads without copying.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 from dataclasses import dataclass
@@ -424,21 +425,30 @@ def partition_to_json(partition: Partition, names: Sequence[str]) -> str:
 
 def partition_from_json(text: str, names: Sequence[str]) -> Partition:
     """Parse the JSON produced by partition_to_json, resolving names to indices."""
+    return _resolve_clusters(_load_clusters(text), names)
+
+
+def _load_clusters(text: str) -> list[list]:
+    """The clusters of a partition JSON, checked for syntax and shape; no name is resolved."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid partition JSON: {exc}") from exc
     if not isinstance(obj, dict) or "clusters" not in obj:
         raise MalformedInput('partition JSON must be an object with a "clusters" key')
+    clusters = obj["clusters"]
+    if not isinstance(clusters, list) or not all(isinstance(c, list) for c in clusters):
+        raise MalformedInput("each cluster must be a list of names")
+    return clusters
+
+
+def _resolve_clusters(clusters: list[list], names: Sequence[str]) -> Partition:
+    """The partition whose groups are the clusters of _load_clusters, names resolved to indices."""
     index = {name: i for i, name in enumerate(names)}
-    groups = []
-    for cluster in obj["clusters"]:
-        if not isinstance(cluster, list):
-            raise MalformedInput("each cluster must be a list of names")
-        try:
-            groups.append([index[name] for name in cluster])
-        except (KeyError, TypeError) as exc:
-            raise MalformedInput(f"unknown variable name in partition: {exc}") from exc
+    try:
+        groups = [[index[name] for name in cluster] for cluster in clusters]
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"unknown variable name in partition: {exc}") from exc
     return canonicalize(groups, len(names))
 
 
@@ -467,3 +477,21 @@ def _process_pool(workers: int):
 
     context = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
     return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
+@contextlib.contextmanager
+def _killed_on_error(pool):
+    """Run a with block on a pool from _process_pool; kill its workers if an exception leaves it.
+
+    A pool's own exit waits for the tasks its workers run, so an error in
+    the calling process would wait for work whose result nobody reads.
+    ProcessPoolExecutor on Python 3.11 has no public kill: the workers are
+    killed through its process table, and the exit then reaps them.
+    """
+    with pool:
+        try:
+            yield pool
+        except BaseException:
+            for process in list(pool._processes.values()):
+                process.kill()
+            raise

@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tailclust import SeriesMatrix, block_maxima, cli, tau_theory
+from tailclust import SeriesMatrix, block_maxima, cli, kernels, tau_theory
 from tailclust.cli import main
+from tailclust.estimators import chi_to_csv
 
 
 def write_csv(path, values, names):
@@ -176,13 +177,23 @@ def test_cluster_flag_errors(noise_csv, capsys):
     ],
 )
 def test_cluster_rejects_grid_flags_before_reading_the_input(flags, message, monkeypatch, capsys):
-    def read_maxima(path, m, **private):
+    def reading(path, m, **private):
         raise AssertionError(f"{path} was read before the flags were checked")
 
-    monkeypatch.setattr(cli, "_read_maxima", read_maxima)
+    monkeypatch.setattr(cli, "_reading", reading)
     argv = ["cluster", "--input", "unread.csv", "--block-size", "5", "--auto-tau", *flags]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tau", ["-1", "nan", "-inf", "-0.2"])
+def test_cluster_rejects_tau_before_reading_the_input(tau, monkeypatch, capsys):
+    def reading(path, m, **private):
+        raise AssertionError(f"{path} was read before tau was checked")
+
+    monkeypatch.setattr(cli, "_reading", reading)
+    assert main(["cluster", "--input", "unread.csv", "--block-size", "5", f"--tau={tau}"]) == 2
+    assert capsys.readouterr().err == "error: tau must be a nonnegative real\n"
 
 
 def test_cluster_malformed_csv(tmp_path, capsys):
@@ -239,11 +250,11 @@ def assert_no_child_left():
 def record_forks(monkeypatch):
     """Fork at any body size, and record whether each read forked."""
     forks = []
-    read_maxima, process_pool = cli._read_maxima, cli._process_pool
+    read, process_pool = cli._reading, cli._process_pool
 
     def reading(*args, **private):
         forks.append(False)
-        return read_maxima(*args, **private)
+        return read(*args, **private)
 
     def forking(workers):
         assert workers == 1
@@ -251,7 +262,7 @@ def record_forks(monkeypatch):
         return process_pool(workers)
 
     monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
-    monkeypatch.setattr(cli, "_read_maxima", reading)
+    monkeypatch.setattr(cli, "_reading", reading)
     monkeypatch.setattr(cli, "_process_pool", forking)
     return forks
 
@@ -480,6 +491,138 @@ def test_cluster_and_seco_never_build_the_series(noise_csv, tmp_path, monkeypatc
     assert main(["seco", "--input", str(noise_csv), "--block-size", "20", "--partition", str(part)]) == 0
     assert record_forks == [True, True]
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# cluster on both cores: the reader's worker also sums the first rows of the
+# pairs and formats chi.csv
+
+# the test process, and the pairwise kernel before any patch; a worker that
+# unpickles a function finds it here by name
+_TEST_PROCESS = os.getpid()
+_PAIRWISE = kernels.pairwise_abs_diff_sums
+_CALLER_PAIRWISE_ROWS = []
+
+
+def _pairwise_recorded(u, lo=0, hi=None):
+    if os.getpid() == _TEST_PROCESS:
+        _CALLER_PAIRWISE_ROWS.append((lo, hi))
+    return _PAIRWISE(u, lo, hi)
+
+
+def _pairwise_dies_in_a_worker(u, lo=0, hi=None):
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    return _PAIRWISE(u, lo, hi)
+
+
+def _chi_to_csv_dies_in_a_worker(*args):
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    return chi_to_csv(*args)
+
+
+@pytest.fixture
+def factor_csv(tmp_path):
+    # 12 columns in 3 blocks of 4, each block sharing one Frechet factor
+    rng = np.random.default_rng(17)
+    d = 12
+    factors = 1.0 / rng.standard_exponential((3000, 3))
+    noise = 1.0 / rng.standard_exponential((3000, d))
+    weights = np.linspace(0.4, 0.8, d)
+    raw = np.maximum(weights * factors[:, np.arange(d) % 3], (1.0 - weights) * noise)
+    path = tmp_path / "factor.csv"
+    write_csv(path, raw, [f"x{j}" for j in range(d)])
+    return path
+
+
+def run_cluster(csv, flags, out, capsys):
+    """Exit code, stdout and stderr of one cluster call, and the files it wrote into out.
+
+    A flag value that names a .json or .csv file is taken inside out.
+    """
+    out.mkdir()
+    argv = ["cluster", "--input", str(csv), "--block-size", "10"]
+    argv += [str(out / f) if f.endswith((".json", ".csv")) else f for f in flags]
+    rc = main(argv)
+    std = capsys.readouterr()
+    return rc, std.out, std.err, {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--auto-tau", "--out-partition", "part.json", "--out-chi", "chi.csv", "--out-scan", "scan.csv"],
+        ["--tau", "0.4", "--out-partition", "part.json", "--out-chi", "chi.csv"],
+        ["--auto-tau", "--clip-chi", "--out-partition", "part.json", "--out-chi", "chi.csv"],
+        ["--auto-tau", "--out-partition", "part.json", "--out-scan", "scan.csv"],
+        ["--auto-tau", "--out-chi", "chi.csv", "--out-scan", "scan.csv"],
+    ],
+    ids=["auto-tau", "tau", "clip-chi", "no-chi", "partition-to-stdout"],
+)
+def test_cluster_with_a_worker_writes_what_one_process_writes(
+    flags, factor_csv, tmp_path, monkeypatch, capsys, record_forks
+):
+    monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
+    alone = run_cluster(factor_csv, flags, tmp_path / "alone", capsys)
+    monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(kernels, "pairwise_abs_diff_sums", _pairwise_recorded)
+    _CALLER_PAIRWISE_ROWS.clear()
+    forked = run_cluster(factor_csv, flags, tmp_path / "forked", capsys)
+    assert record_forks == [False, True]
+    assert alone[0] == 0 and alone[3]
+    assert forked == alone
+    # the first 4 of 11 rows hold 38 of the 66 pairs: the worker sums them
+    assert _CALLER_PAIRWISE_ROWS == [(4, 11)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("job", ["pairwise", "chi.csv"])
+def test_cluster_does_a_dead_workers_job_itself(job, factor_csv, tmp_path, monkeypatch, capsys, record_forks):
+    flags = ["--auto-tau", "--out-partition", "part.json", "--out-chi", "chi.csv", "--out-scan", "scan.csv"]
+    monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
+    alone = run_cluster(factor_csv, flags, tmp_path / "alone", capsys)
+    monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
+    if job == "pairwise":
+        monkeypatch.setattr(kernels, "pairwise_abs_diff_sums", _pairwise_dies_in_a_worker)
+    else:
+        monkeypatch.setattr(cli, "chi_to_csv", _chi_to_csv_dies_in_a_worker)
+    assert run_cluster(factor_csv, flags, tmp_path / "forked", capsys) == alone
+    assert record_forks == [False, True]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["in-caller", "forked"])
+def test_cluster_unwritable_chi_path_keeps_the_partition_and_writes_no_scan(
+    fork, factor_csv, tmp_path, monkeypatch, capsys, record_forks
+):
+    if not fork:
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", float("inf"))
+    flags = ["--auto-tau", "--out-partition", "part.json", "--out-chi", "missing/chi.csv",
+             "--out-scan", "scan.csv"]
+    rc, out, err, files = run_cluster(factor_csv, flags, tmp_path / "out", capsys)
+    missing = tmp_path / "out" / "missing" / "chi.csv"
+    assert (rc, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(files) == ["part.json"]
+    assert record_forks == [fork]
+    assert_no_child_left()
+
+
+def test_cluster_kills_the_worker_when_the_caller_fails_after_the_read(
+    factor_csv, tmp_path, monkeypatch, capsys, record_forks
+):
+    def failing(*args):
+        raise RuntimeError("stopped in the scan")
+
+    # the worker formats chi.csv while the scan fails
+    monkeypatch.setattr(cli, "select_threshold", failing)
+    flags = ["--auto-tau", "--out-partition", "part.json", "--out-chi", "chi.csv"]
+    with pytest.raises(RuntimeError, match="stopped in the scan"):
+        run_cluster(factor_csv, flags, tmp_path / "out", capsys)
+    assert list((tmp_path / "out").iterdir()) == []
+    assert record_forks == [True]
+    assert_no_child_left()
 
 
 def test_cluster_rejects_constant_column(tmp_path, capsys):
@@ -720,6 +863,25 @@ def test_seco_reads_the_partition_before_the_input(monkeypatch, tmp_path, capsys
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_seco_rejects_a_malformed_partition_before_the_input(monkeypatch, tmp_path, capsys):
+    def read_maxima(path, m, **private):
+        raise AssertionError(f"{path} was read before the partition was parsed")
+
+    monkeypatch.setattr(cli, "_read_maxima", read_maxima)
+    part = tmp_path / "bad.json"
+    cases = {
+        b"{not json": "error: invalid partition JSON: ",
+        b'{"clusters": [["a"], "b"]}': "error: each cluster must be a list of names\n",
+        b'{"clusters": [["a\xff"]]}': f"error: {part}: ",
+    }
+    for content, message in cases.items():
+        part.write_bytes(content)
+        argv = ["seco", "--input", "unread.csv", "--block-size", "2", "--partition", str(part)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_seco_rejects_a_single_block(tmp_path, capsys):

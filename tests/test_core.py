@@ -1,6 +1,9 @@
 """Domain types, partition algebra, and serialization."""
 
+import multiprocessing
+import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -516,3 +519,38 @@ def test_partition_json_rejects_non_partitions():
         partition_from_json('{"clusters": [["a", "b"], ["b"]]}', names)
     with pytest.raises(CoverageError):
         partition_from_json('{"clusters": [["a"]]}', names)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "invalid partition JSON"),
+        ('["a"]', 'partition JSON must be an object with a "clusters" key'),
+        ('{"clusters": 5}', "each cluster must be a list of names"),
+        ('{"clusters": [["a"], "b"]}', "each cluster must be a list of names"),
+    ],
+)
+def test_partition_json_shape_is_checked_before_any_name(text, message):
+    # _load_clusters needs no names; partition_from_json gives the same error
+    with pytest.raises(MalformedInput, match=message):
+        core._load_clusters(text)
+    with pytest.raises(MalformedInput, match=message):
+        partition_from_json(text, ("a", "b"))
+
+
+def test_a_pool_killed_on_error_returns_before_its_busy_worker_would():
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="stopped in the caller"):
+        with core._killed_on_error(core._process_pool(1)) as pool:
+            busy = pool.submit(time.sleep, 60)
+            raise RuntimeError("stopped in the caller")
+    assert time.perf_counter() - start < 30
+    assert busy.done()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # without an error the block waits for its worker's tasks, as a pool's own exit does
+    with core._killed_on_error(core._process_pool(1)) as pool:
+        done = pool.submit(sum, [1, 2])
+    assert done.result() == 3
+    assert multiprocessing.active_children() == []

@@ -152,6 +152,20 @@ def test_pairwise_matches_per_pair_sums_bit_for_bit(rng, k, d):
     assert np.array_equal(kernels.pairwise_abs_diff_sums(np.asfortranarray(u)), pairwise_pair_sums(u))
 
 
+@pytest.mark.parametrize("k, d", [(129, 9), (997, 70), (5, 1), (1, 3)])
+def test_pairwise_row_ranges_add_up_to_the_whole_matrix_bit_for_bit(rng, k, d):
+    u = rng.random((k, d))
+    whole = kernels.pairwise_abs_diff_sums(u)
+    rows, cols = np.indices((d, d))
+    for c in range(d):
+        first = kernels.pairwise_abs_diff_sums(u, 0, c)
+        rest = kernels.pairwise_abs_diff_sums(u, c, d - 1)
+        # each range holds exactly its pairs and their mirror, and zero elsewhere
+        assert np.array_equal(first != 0, (np.minimum(rows, cols) < c) & (rows != cols))
+        assert np.array_equal(first + rest, whole), c
+    assert np.array_equal(kernels.pairwise_abs_diff_sums(u, 0, d - 1), whole)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
