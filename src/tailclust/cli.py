@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .core import (
     _csv_matrix,
     _fmt,
     _fork_is_safe,
-    _killed_on_error,
+    _in_worker,
     _load_clusters,
     _memo,
     _process_pool,
@@ -140,11 +139,12 @@ def _reading(path: str, m: int, *, _split: int | None = None):
     with block exits; an exception that leaves the block kills the worker.
 
     Each half runs every check of a whole body: parse errors, the cell count
-    against the header, NaN or inf. A half that fails one, or a worker that
-    dies, does not report it: the body is parsed again in one piece, so
-    that the message and the row numbers in it are the whole file's, and
-    pool is None. A smaller body, or one in a process that may not fork, is
-    parsed in one piece from the start, with no worker.
+    against the header, NaN or inf. A half that fails one does not report
+    it: the body is parsed again in one piece, so that the message and the
+    row numbers in it are the whole file's. A worker that dies has its half
+    parsed by the calling process (core._in_worker). A smaller body, or one
+    in a process that may not fork, is parsed in one piece from the start,
+    with no worker, and pool is None.
     """
     with contextlib.ExitStack() as stack:
         pool = None
@@ -169,13 +169,13 @@ def _reading(path: str, m: int, *, _split: int | None = None):
                         raw.seek((start + end) // 2)
                         raw.readline()
                         split = raw.tell()
-                pool = stack.enter_context(_killed_on_error(_process_pool(1)))
+                pool = stack.enter_context(_process_pool(1))
+                child = _in_worker(pool, _first_blocks, path, encoding, width, start, split, m)
                 try:
-                    child = pool.submit(_first_blocks, path, encoding, width, start, split, m)
                     rows = _parse_range(path, encoding, width, split, end)
-                    first = child.result()
-                except (ValueError, BrokenExecutor):
-                    pool = None  # the whole body is parsed below, for the whole file's message
+                    first = child()
+                except ValueError:
+                    pass  # the whole body is parsed below, for the whole file's message
             if first is None:
                 rows = _parse_range(path, encoding, width, start, end)
                 first = rows[:0], rows[:0]  # no first half: the whole body is the second
@@ -201,25 +201,6 @@ def _read_maxima(path: str, m: int, *, _split: int | None = None):
     """The column names and block maxima of _reading, its worker already closed."""
     with _reading(path, m, _split=_split) as (names, maxima, _):
         return names, maxima
-
-
-def _in_worker(pool, fn, *args):
-    """Start fn(*args) in the pool's worker; returns a function that waits for the result.
-
-    With no pool, or a worker that has died, fn runs in the calling process
-    when its result is asked for.
-    """
-    future = None
-    with contextlib.suppress(BrokenExecutor):
-        future = pool and pool.submit(fn, *args)
-
-    def result():
-        with contextlib.suppress(BrokenExecutor):
-            if future:
-                return future.result()
-        return fn(*args)
-
-    return result
 
 
 def _pairwise_in_halves(pool, pobs) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -466,32 +467,46 @@ def _fork_is_safe() -> bool:
     return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
 
 
+@contextlib.contextmanager
 def _process_pool(workers: int):
-    """A pool of `workers` processes, forked if _fork_is_safe(), else spawned.
+    """A with block on a pool of `workers` processes, forked if _fork_is_safe(), else spawned.
 
-    Every worker process the package starts comes from here.
+    Every worker process the package starts comes from here. Without an
+    error the block's exit waits for the tasks its workers run, as the
+    pool's own exit does. An exception that leaves the block kills the
+    workers first, so an error in the calling process does not wait for
+    work whose result nobody reads. ProcessPoolExecutor on Python 3.11 has
+    no public kill: the workers are killed through its process table, and
+    the pool's exit then reaps them.
     """
     # imported here: at module level they would slow `import tailclust`
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-
-@contextlib.contextmanager
-def _killed_on_error(pool):
-    """Run a with block on a pool from _process_pool; kill its workers if an exception leaves it.
-
-    A pool's own exit waits for the tasks its workers run, so an error in
-    the calling process would wait for work whose result nobody reads.
-    ProcessPoolExecutor on Python 3.11 has no public kill: the workers are
-    killed through its process table, and the exit then reaps them.
-    """
-    with pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         try:
             yield pool
         except BaseException:
             for process in list(pool._processes.values()):
                 process.kill()
             raise
+
+
+def _in_worker(pool, fn, *args):
+    """Start fn(*args) in a worker of the pool; returns a function that waits for the result.
+
+    With no pool, or a worker that has died, fn runs in the calling process
+    when its result is asked for.
+    """
+    future = None
+    with contextlib.suppress(BrokenExecutor):
+        future = pool and pool.submit(fn, *args)
+
+    def result():
+        with contextlib.suppress(BrokenExecutor):
+            if future:
+                return future.result()
+        return fn(*args)
+
+    return result

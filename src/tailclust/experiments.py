@@ -13,7 +13,6 @@ import contextlib
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     Partition,
     _check_block_length,
     _fmt,
+    _in_worker,
     _process_pool,
     partitions_equal,
 )
@@ -205,33 +205,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     index), so rows are identical for any worker count.
 
     The replications run on w = min(cfg.threads, replications) workers. The
-    calling process is one of them: one pool thread takes every w-th
-    replication from the first, and the calling thread collects the results
-    in order. The others run in w - 1 worker processes, since a replication
+    calling process is one of them: it runs every w-th replication from the
+    first, and w - 1 worker processes run the others, since a replication
     makes many short numpy calls and threads would hand the interpreter lock
-    to each other. Workers are forked when no other thread is running, else
-    spawned. Once a replication raises, those not yet handed to a worker are
-    cancelled, and every worker has exited when this returns or raises.
+    to each other. Every worker task is handed out first; the results are
+    then read in index order, and the calling process runs its own between
+    reads. Workers are forked when no other thread is running, else spawned.
+    Once a replication raises, the busy workers are killed, not waited for,
+    and every worker has exited when this returns or raises. A worker that
+    dies has its replications run by the calling process, with the same rows.
     """
     grid_param, grid_values = cfg.grid()
     tasks = [(gi, value, ri) for gi, value in enumerate(grid_values) for ri in range(cfg.reps)]
     run = functools.partial(_run_task, cfg)
     # a process pool starts all its workers at once, so never more than tasks
     workers = min(cfg.threads, len(tasks))
-    with contextlib.ExitStack() as pools:
-        futures = {}
-        if workers > 1:
-            # submitted first, so the workers start before the pool thread
-            others = pools.enter_context(_process_pool(workers - 1))
-            futures = {i: others.submit(run, task) for i, task in enumerate(tasks) if i % workers}
-        own = pools.enter_context(ThreadPoolExecutor(max_workers=1))
-        futures.update((i, own.submit(run, tasks[i])) for i in range(0, len(tasks), workers))
-        try:
-            results = [futures[i].result() for i in range(len(tasks))]
-        except BaseException:
-            for future in futures.values():
-                future.cancel()
-            raise
+    with _process_pool(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+        pending = [_in_worker(pool if i % workers else None, run, task) for i, task in enumerate(tasks)]
+        results = [result() for result in pending]
 
     algorithms = ("ECO", "HC", "SKM") if cfg.include_competitors else ("ECO",)
     rows = []

@@ -5,6 +5,9 @@ hypothesis runs under a derandomized profile without an example database,
 so the whole suite is deterministic run to run.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -32,6 +35,22 @@ def random_partition(rng, d):
     for idx, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(idx)
     return canonicalize(groups.values(), d)
+
+
+def assert_no_child_left():
+    """No worker process is left: none runs, and no child has exited unreaped.
+
+    Checked in that order, since asking for the running children reaps the
+    exited ones. A child that runs outside multiprocessing's process list is
+    not counted: once any pool in this process has spawned, multiprocessing's
+    resource tracker runs as its child until it exits.
+    """
+    try:
+        exited = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:  # no child at all
+        exited = None
+    assert exited is None, f"child {exited.si_pid} exited and was never reaped"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

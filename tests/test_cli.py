@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,6 +14,8 @@ import pytest
 from tailclust import SeriesMatrix, block_maxima, cli, kernels, tau_theory
 from tailclust.cli import main
 from tailclust.estimators import chi_to_csv
+
+from conftest import assert_no_child_left
 
 
 def write_csv(path, values, names):
@@ -240,12 +241,6 @@ def test_cluster_rejects_an_empty_column_name(header, tmp_path, capsys):
 # the CSV reader: two halves split at a line start, the first in a forked child
 
 
-def assert_no_child_left():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def record_forks(monkeypatch):
     """Fork at any body size, and record whether each read forked."""
@@ -342,21 +337,27 @@ def test_reader_equals_block_maxima_of_the_loaded_series_at_every_split(
     assert_no_child_left()
 
 
-def test_reader_parses_the_whole_body_when_the_child_dies(tmp_path, monkeypatch, record_forks):
+def test_reader_parses_a_dead_childs_half_itself(tmp_path, monkeypatch, record_forks):
     path = tmp_path / "series.csv"
-    path.write_text("a,b,c\n" + "\n".join(_ROWS) + "\n")
+    text = "a,b,c\n" + "\n".join(_ROWS) + "\n"
+    path.write_text(text)
+    start, split = len("a,b,c\n"), len(text) // 2
+    split = text.index("\n", split) + 1  # a line start in the body
     expect = block_maxima(_SERIES, 2)
-    caller = os.getpid()
+    caller, caller_ranges = os.getpid(), []
     parse_range = cli._parse_range
 
     def die_in_child(*args):
         if os.getpid() != caller:
             os._exit(1)
+        caller_ranges.append(args[3:])
         return parse_range(*args)
 
     monkeypatch.setattr(cli, "_parse_range", die_in_child)
-    names, got = cli._read_maxima(str(path), 2)
+    names, got = cli._read_maxima(str(path), 2, _split=split)
     assert got.values.tobytes() == expect.values.tobytes()
+    # the child's half, not the whole body, after the caller's own half
+    assert caller_ranges == [(split, len(text)), (start, split)]
     assert record_forks == [True]
     assert_no_child_left()
 

@@ -10,6 +10,7 @@ from tailclust import (
     DimensionMismatch,
     EmptyGrid,
     InvalidParam,
+    MaximaMatrix,
     PseudoObs,
     ThresholdScan,
     canonicalize,
@@ -17,12 +18,14 @@ from tailclust import (
     default_grid,
     eco_cluster,
     partitions_equal,
+    pseudo_obs,
     scan_to_csv,
     seco,
     select_threshold,
     tau_theory,
 )
 from tailclust import kernels
+from tailclust.simulate import RepetitionConfig, build_experiment_model, repetition_block_maxima
 
 from conftest import pobs_of, random_pobs
 
@@ -141,6 +144,36 @@ def test_relabeling_equivariance_tie_free(rng):
         base = eco_cluster(chi, tau)
         relabeled = canonicalize([[int(np.flatnonzero(perm == i)[0]) for i in g] for g in base.groups], d)
         assert partitions_equal(eco_cluster(permuted, tau), relabeled)
+
+
+def _tied_chi_and_permuted():
+    """chi of a seeded E2 input with exact ties, chi of its columns permuted, and the permutation."""
+    rng = np.random.default_rng(85)
+    d, k = int(rng.integers(8, 40)), int(rng.integers(30, 301))
+    model, _ = build_experiment_model("E2", d, 10 / 7, rng)
+    maxima = repetition_block_maxima(RepetitionConfig(p=0.9, n=10 * k, model=model), 10, rng)
+    perm = rng.permutation(d)
+    permuted = MaximaMatrix(maxima.values[:, perm], maxima.block_length, maxima.source_length)
+    return chi_matrix(pseudo_obs(maxima)), chi_matrix(pseudo_obs(permuted)), perm
+
+
+def test_chi_permutes_bit_for_bit_with_its_columns():
+    chi, permuted, perm = _tied_chi_and_permuted()
+    assert (chi.d, chi.k) == (30, 42)
+    assert permuted.values.tobytes() == chi.values[np.ix_(perm, perm)].tobytes()
+    # few distinct values at small k: ties that ECO's seed pair must break
+    assert np.unique(chi.values[np.triu_indices(chi.d, 1)]).size == 186
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: ECO breaks exact chi ties by column label")
+def test_eco_partitions_do_not_depend_on_column_order_under_chi_ties():
+    chi, permuted, perm = _tied_chi_and_permuted()
+    differ = []
+    for i, tau in enumerate(default_grid(10, chi.d, chi.k)):
+        groups = eco_cluster(permuted, tau).groups
+        if canonicalize([[int(perm[j]) for j in g] for g in groups], chi.d) != eco_cluster(chi, tau):
+            differ.append(i)
+    assert differ == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,5 @@
 """Domain types, partition algebra, and serialization."""
 
-import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +32,7 @@ from tailclust import (
 from tailclust import cluster, competitors, core, estimators, experiments, kernels, maxima, simulate
 from tailclust.core import MalformedInput, TailclustError, _from_labels
 
-from conftest import random_partition, random_pobs
+from conftest import assert_no_child_left, random_partition, random_pobs
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +539,14 @@ def test_partition_json_shape_is_checked_before_any_name(text, message):
 def test_a_pool_killed_on_error_returns_before_its_busy_worker_would():
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="stopped in the caller"):
-        with core._killed_on_error(core._process_pool(1)) as pool:
+        with core._process_pool(1) as pool:
             busy = pool.submit(time.sleep, 60)
             raise RuntimeError("stopped in the caller")
     assert time.perf_counter() - start < 30
     assert busy.done()
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
     # without an error the block waits for its worker's tasks, as a pool's own exit does
-    with core._killed_on_error(core._process_pool(1)) as pool:
+    with core._process_pool(1) as pool:
         done = pool.submit(sum, [1, 2])
     assert done.result() == 3
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()

@@ -25,6 +25,8 @@ from tailclust import (
 )
 from tailclust import core, experiments, simulate
 
+from conftest import assert_no_child_left
+
 
 def tiny_cfg(**overrides):
     base = dict(
@@ -165,7 +167,7 @@ def test_run_experiment_thread_count_does_not_change_results():
         }
         assert csvs[1] == csvs[2] == csvs[4] == csvs[8]
         # every worker process has exited by the time the rows are back
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 def test_run_experiment_starts_no_more_workers_than_replications(monkeypatch):
@@ -223,27 +225,36 @@ def test_run_experiment_spawns_workers_while_another_thread_runs(monkeypatch):
     assert results_to_csv(rows) == results_to_csv(run_experiment(tiny_cfg(threads=1)))
     run_experiment(tiny_cfg(threads=2))
     assert methods[1:] == ["fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
-    "threads, fail",
-    [pytest.param(1, 0, id="1"), pytest.param(2, 0, id="2"), pytest.param(2, 1, id="2-in-worker")],
+    "threads, fail, slow",
+    [
+        pytest.param(1, 0, None, id="1"),
+        pytest.param(2, 0, None, id="2"),
+        pytest.param(2, 1, None, id="2-in-worker"),
+        # the caller fails at once while the worker sleeps 60 s in replication 1
+        pytest.param(2, 0, 1, id="2-worker-busy"),
+    ],
 )
-def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, threads, fail):
+def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, threads, fail, slow):
     # one file per started replication, named by the task and holding the
     # pid, because a worker process cannot append to a list in this one
     def failing(cfg, gi, value, ri):
         (tmp_path / f"{gi}-{ri}").write_text(str(os.getpid()))
         if (gi, ri) == (0, fail):
             raise RuntimeError("replication failed")
-        time.sleep(0.05)  # so the failure is seen mid-run
+        time.sleep(60 if (gi, ri) == (0, slow) else 0.05)  # so the failure is seen mid-run
         return {"ECO": (True, None, 0.0)}
 
     monkeypatch.setattr(experiments, "_one_rep", failing)
     reps = 20
+    start = time.perf_counter()
     with pytest.raises(RuntimeError, match="replication failed"):
         run_experiment(tiny_cfg(reps=reps, threads=threads))
+    # busy workers are killed, not waited for
+    assert time.perf_counter() - start < 30
     started = {path.name: int(path.read_text()) for path in tmp_path.iterdir()}
     assert f"0-{fail}" in started
     assert len(started) < 10  # of 40 replications
@@ -252,7 +263,28 @@ def test_run_experiment_stops_after_a_failed_replication(monkeypatch, tmp_path, 
     for name, pid in started.items():
         gi, ri = map(int, name.split("-"))
         assert (pid == os.getpid()) == ((gi * reps + ri) % threads == 0)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_run_experiment_runs_a_dead_workers_replications_itself(monkeypatch, tmp_path, threads):
+    caller, one_rep = os.getpid(), experiments._one_rep
+    died = tmp_path / "died"
+
+    def dying(cfg, gi, value, ri):
+        if os.getpid() != caller and (gi, ri) == (0, 1):
+            died.write_text(str(os.getpid()))
+            os._exit(1)
+        return one_rep(cfg, gi, value, ri)
+
+    monkeypatch.setattr(experiments, "_one_rep", dying)
+    overrides = dict(reps=3, include_competitors=True, skm_restarts=2)
+    alone = results_to_csv(run_experiment(tiny_cfg(**overrides)))
+    assert not died.exists()
+    # each replication is seeded by (master_seed, gi, ri), wherever it runs
+    assert results_to_csv(run_experiment(tiny_cfg(threads=threads, **overrides))) == alone
+    assert died.exists() == ("fork" in multiprocessing.get_all_start_methods())
+    assert_no_child_left()
 
 
 def test_import_loads_no_process_machinery():
