@@ -54,10 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# From this many body bytes, cluster and seco fork one worker that parses the
+# From this many file bytes, cluster and seco fork one worker that parses the
 # first half of the body. In cluster it lives until the command ends, and
 # also sums half of the pairs for chi and formats chi.csv. Below it the
-# calling process does all the work: importing the process pool and
+# calling process does the same tasks itself: importing the process pool and
 # a round trip through a forked one-worker pool take about 40 ms in a fresh
 # process (about 19 ms once imported, with a 1.6 MB result), more than a
 # parallel half of the parse saves below a few MB (loadtxt parses about
@@ -113,7 +113,7 @@ def _parse_range(path: str, encoding: str, width: int, lo: int, hi: int):
 
 
 def _first_blocks(path: str, encoding: str, width: int, lo: int, hi: int, m: int):
-    """The forked child's work: the first half of the body, cut along the blocks.
+    """The worker's task: the first half of the body, cut along the blocks.
 
     The first half starts at series row 0, so its rows are cut without an
     offset. Returns the maxima of its whole blocks and the rows after them;
@@ -122,89 +122,83 @@ def _first_blocks(path: str, encoding: str, width: int, lo: int, hi: int, m: int
     return _cut_blocks(_parse_range(path, encoding, width, lo, hi), 0, m)[1:]
 
 
-@contextlib.contextmanager
-def _reading(path: str, m: int, *, _split: int | None = None):
+def _workers_for(path: str) -> int:
+    """1 for a file of at least _FORK_MIN_BYTES in a process that may fork, else 0.
+
+    A path that cannot be stat'ed gives 0, and the reader reports it.
+    """
+    with contextlib.suppress(OSError):
+        return int(os.stat(path).st_size >= _FORK_MIN_BYTES and _fork_is_safe())
+    return 0
+
+
+def _read_maxima(path: str, m: int, pool=None, *, _split: int | None = None):
     """The column names and block maxima of a CSV series, never the n x d series.
 
-    A context manager that yields (names, maxima, pool). When the body holds
-    at least _FORK_MIN_BYTES and core._fork_is_safe(), it splits at the
-    first line start after its byte midpoint (or at byte offset `_split`,
-    which must be a line start). The one worker of a core._process_pool
-    parses the first half and sends back only the maxima of its whole
-    blocks and the rows after them, while the calling process parses the
-    second half. The caller cuts its rows along the blocks of the whole
-    series and finishes the block open at the split from both sides' rows.
-    A maximum is exact, so the result is bit-identical to block_maxima of
-    the whole series. pool is that worker's pool, for more work until the
-    with block exits; an exception that leaves the block kills the worker.
+    The header's names are checked before the body is read; one leading
+    byte-order mark is dropped from them. The body splits at the first line
+    start after its byte midpoint (or at byte offset `_split`, which must be
+    a line start). The first half goes to the pool's worker through
+    core._in_worker, so with no pool, or a worker that dies, the calling
+    process parses it after the second half. The first half comes back as
+    only the maxima of its whole blocks and the rows after them. The caller
+    cuts the second half's rows along the blocks of the whole series and
+    finishes the block open at the split from both halves' rows. A maximum
+    is exact, so the result is bit-identical to block_maxima of the whole
+    series.
 
     Each half runs every check of a whole body: parse errors, the cell count
     against the header, NaN or inf. A half that fails one does not report
     it: the body is parsed again in one piece, so that the message and the
-    row numbers in it are the whole file's. A worker that dies has its half
-    parsed by the calling process (core._in_worker). A smaller body, or one
-    in a process that may not fork, is parsed in one piece from the start,
-    with no worker, and pool is None.
+    row numbers in it are the whole file's.
     """
-    with contextlib.ExitStack() as stack:
-        pool = None
-        try:
-            with open(path, newline="") as fh:
-                try:
-                    header = fh.readline()
-                except ValueError as exc:
-                    raise MalformedInput(f"{path}: {exc}") from exc
-                encoding = fh.encoding
-                end = os.fstat(fh.fileno()).st_size
-            if not header.strip():
-                raise MalformedInput(f"{path}: empty input")
-            names = tuple(cell.strip() for cell in header.rstrip("\r\n").split(","))
-            width = len(names)
-            start = len(header.encode(encoding))
-            first = None
-            if end - start >= _FORK_MIN_BYTES and _fork_is_safe():
-                split = _split
-                if split is None:
-                    with open(path, "rb") as raw:
-                        raw.seek((start + end) // 2)
-                        raw.readline()
-                        split = raw.tell()
-                pool = stack.enter_context(_process_pool(1))
-                child = _in_worker(pool, _first_blocks, path, encoding, width, start, split, m)
-                try:
-                    rows = _parse_range(path, encoding, width, split, end)
-                    first = child()
-                except ValueError:
-                    pass  # the whole body is parsed below, for the whole file's message
-            if first is None:
-                rows = _parse_range(path, encoding, width, start, end)
-                first = rows[:0], rows[:0]  # no first half: the whole body is the second
-        except OSError as exc:
-            raise MalformedInput(f"cannot read {path}: {exc}") from exc
-        maxima, left_open = first
-        r = len(maxima) * m + len(left_open)
-        n = r + len(rows)
-        if n == 0:
-            raise MalformedInput(f"{path}: no data rows")
+    try:
+        with open(path, newline="") as fh:
+            try:
+                header = fh.readline()
+            except ValueError as exc:
+                raise MalformedInput(f"{path}: {exc}") from exc
+            encoding = fh.encoding
+            end = os.fstat(fh.fileno()).st_size
+        start = len(header.encode(encoding))
+        header = header.removeprefix("\ufeff")  # the byte-order mark of a "CSV UTF-8" export
+        if not header.strip():
+            raise MalformedInput(f"{path}: empty input")
+        names = tuple(cell.strip() for cell in header.rstrip("\r\n").split(","))
+        width = len(names)
         if len(set(names)) != width:
             raise InvalidParam("variable names must be unique")
         if "" in names:
             raise MalformedInput(f"{path}: column {names.index('')} has an empty name")
-        head, rest, _ = _cut_blocks(rows, r, m)
-        # the block left open at the split, finished by the second half's head
-        straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
-        values = np.concatenate([maxima, straddle, rest])
-        yield names, MaximaMatrix(values, block_length=m, source_length=n), pool
-
-
-def _read_maxima(path: str, m: int, *, _split: int | None = None):
-    """The column names and block maxima of _reading, its worker already closed."""
-    with _reading(path, m, _split=_split) as (names, maxima, _):
-        return names, maxima
+        split = _split
+        if split is None:
+            with open(path, "rb") as raw:
+                raw.seek((start + end) // 2)
+                raw.readline()
+                split = raw.tell()
+        first = _in_worker(pool, _first_blocks, path, encoding, width, start, split, m)
+        try:
+            rows = _parse_range(path, encoding, width, split, end)
+            maxima, left_open = first()
+        except ValueError:
+            # the whole body in one piece, for the whole file's message
+            rows = _parse_range(path, encoding, width, start, end)
+            maxima = left_open = rows[:0]
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    r = len(maxima) * m + len(left_open)
+    n = r + len(rows)
+    if n == 0:
+        raise MalformedInput(f"{path}: no data rows")
+    head, rest, _ = _cut_blocks(rows, r, m)
+    # the block left open at the split, finished by the second half's head
+    straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
+    values = np.concatenate([maxima, straddle, rest])
+    return names, MaximaMatrix(values, block_length=m, source_length=n)
 
 
 def _pairwise_in_halves(pool, pobs) -> None:
-    """Fill pobs.abs_diff_sums from two row ranges of its pairs, the first in the pool's worker.
+    """Fill pobs.abs_diff_sums from two row ranges of its pairs, the first through core._in_worker.
 
     The first c rows of the upper triangle hold at least half of its pairs,
     and c is the least such count. The ranges sum disjoint entries, so the
@@ -254,10 +248,10 @@ def cmd_cluster(args) -> int:
         if any(b is not None and b < 0.0 for b in (args.grid_lo, args.grid_hi)):
             raise InvalidParam("grid values must be nonnegative")
     _check_block_length(args.block_size)
-    with _reading(args.input, args.block_size) as (names, maxima, pool):
+    with _process_pool(_workers_for(args.input)) as pool:
+        names, maxima = _read_maxima(args.input, args.block_size, pool)
         pobs = pseudo_obs(maxima)
-        if pool is not None:
-            _pairwise_in_halves(pool, pobs)
+        _pairwise_in_halves(pool, pobs)
         chi = chi_matrix(pobs)
         if args.out_chi:
             # a copy, whose instance dict the scan's pair-order memo leaves
@@ -338,7 +332,8 @@ def cmd_seco(args) -> int:
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{args.partition}: {exc}") from exc
     clusters = _load_clusters(text)
-    names, maxima = _read_maxima(args.input, args.block_size)
+    with _process_pool(_workers_for(args.input)) as pool:
+        names, maxima = _read_maxima(args.input, args.block_size, pool)
     pobs = pseudo_obs(maxima)
     part = _resolve_clusters(clusters, names)
     sys.stdout.write(_fmt(seco(pobs, part)) + "\n")

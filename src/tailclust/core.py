@@ -432,7 +432,7 @@ def partition_from_json(text: str, names: Sequence[str]) -> Partition:
 def _load_clusters(text: str) -> list[list]:
     """The clusters of a partition JSON, checked for syntax and shape; no name is resolved."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text.removeprefix("\ufeff"))  # a leading byte-order mark
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid partition JSON: {exc}") from exc
     if not isinstance(obj, dict) or "clusters" not in obj:
@@ -477,8 +477,13 @@ def _process_pool(workers: int):
     workers first, so an error in the calling process does not wait for
     work whose result nobody reads. ProcessPoolExecutor on Python 3.11 has
     no public kill: the workers are killed through its process table, and
-    the pool's exit then reaps them.
+    the pool's exit then reaps them. With workers = 0 the block gets None and
+    nothing is imported or started: _in_worker runs every task in the
+    calling process.
     """
+    if not workers:
+        yield None
+        return
     # imported here: at module level they would slow `import tailclust`
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -9,7 +9,6 @@ depend on the worker count.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import time
@@ -220,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     run = functools.partial(_run_task, cfg)
     # a process pool starts all its workers at once, so never more than tasks
     workers = min(cfg.threads, len(tasks))
-    with _process_pool(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+    with _process_pool(workers - 1) as pool:
         pending = [_in_worker(pool if i % workers else None, run, task) for i, task in enumerate(tasks)]
         results = [result() for result in pending]
 

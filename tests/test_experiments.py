@@ -287,18 +287,27 @@ def test_run_experiment_runs_a_dead_workers_replications_itself(monkeypatch, tmp
     assert_no_child_left()
 
 
-def test_import_loads_no_process_machinery():
-    # the process pool is imported only when a run asks for workers, and
-    # the CLI's reader imports multiprocessing only when it forks
+def test_import_loads_no_process_machinery(tmp_path):
+    # the process pool is imported only when a run asks for workers: not by
+    # the import, nor by cluster on a file too small to fork for, nor by a
+    # one-thread experiment
+    csv = tmp_path / "small.csv"
+    rows = np.random.default_rng(3).random((200, 3)).tolist()
+    csv.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    cluster = ["cluster", "--input", str(csv), "--block-size", "10", "--auto-tau",
+               "--out-partition", str(tmp_path / "part.json")]
+    loaded = "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]); "
     code = (
-        "import sys, tailclust, tailclust.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        "import sys, tailclust, tailclust.cli; " + loaded
+        + f"assert tailclust.cli.main({cluster!r}) == 0; " + loaded
+        + "tailclust.run_experiment(tailclust.ExperimentConfig(experiment='E1', framework='F1', d=4, "
+        "reps=2, n=2000, m_grid=(10,), threads=1)); " + loaded
     )
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n" * 3
 
 
 @pytest.mark.parametrize(
