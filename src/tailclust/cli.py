@@ -307,8 +307,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    given = vars(args)
+    # the grid flags each framework reads; given to another, a flag would
+    # have no effect, so it is refused before anything is simulated
+    reads = {"F1": ("n", "m_grid"), "F2": ("m", "k_grid"), "F3": ("n", "m", "tau_grid")}
+    unread = set().union(*reads.values()) - set(reads[args.framework])
+    for key in given:
+        if key in unread:
+            raise MalformedInput(f"--{key.replace('_', '-')} is not read by framework {args.framework}")
+    if "skm_restarts" in given and "include_competitors" not in given:
+        raise MalformedInput("--skm-restarts requires --competitors")
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    cfg = ExperimentConfig(**{key: value for key, value in vars(args).items() if key in fields})
+    cfg = ExperimentConfig(**{key: value for key, value in given.items() if key in fields})
     try:
         rows = run_experiment(cfg)
         _write(args.out, results_to_csv(rows, timings=args.timings))

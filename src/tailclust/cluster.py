@@ -1,10 +1,10 @@
 """Greedy extremal-correlation clustering and threshold selection.
 
-The clustering loop repeatedly takes the most extremally correlated active
-pair as a seed and absorbs every active variable whose correlation to both
-seeds clears the threshold tau; a failed seed pair emits a singleton. The
-data-driven threshold scans a grid and keeps the greatest tau attaining the
-minimal SECO.
+eco_cluster states the clustering rule: it takes the most extremally
+correlated active pair as a seed and absorbs every active variable whose
+correlation to both seeds clears the threshold tau. The data-driven
+threshold scans a grid and keeps the greatest tau attaining the minimal
+SECO.
 """
 
 from __future__ import annotations
@@ -40,15 +40,16 @@ __all__ = [
 def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
     """Cluster variables whose block maxima stay dependent above tau.
 
-    Loop until no active variable remains: a lone survivor forms its own
-    group; otherwise seed on the argmax pair (a, b) of chi over active pairs
-    (ties go to the lexicographically smallest pair). If chi(a, b) <= tau,
-    emit {a} alone; else emit every active s with
-    min(chi(a, s), chi(b, s)) >= tau, reading chi(x, x) from the unit
-    diagonal so both seeds always belong. The pairs are sorted once per chi
-    matrix, O(d^2 log d), and cached on it (ChiMatrix.pair_order); each call
-    is then one forward sweep over that order plus at most d membership
-    tests of O(d) each, so a threshold scan pays for the sort once.
+    While two or more variables are active, seed on the argmax pair (a, b)
+    of chi over active pairs (ties go to the lexicographically smallest
+    pair) and emit every active s with min(chi(a, s), chi(b, s)) >= tau,
+    reading chi(x, x) from the unit diagonal so both seeds always belong.
+    Stop at the first seed with chi(a, b) <= tau: every later seed has a chi
+    no larger and would fail too, so each variable still active forms its
+    own group. The pairs are sorted once per chi matrix, O(d^2 log d), and
+    cached on it (ChiMatrix.pair_order); each call is then one forward sweep
+    over that order plus at most d membership tests of O(d) each, so a
+    threshold scan pays for the sort once.
     A single block (k = 1) makes every chi exactly 1 and is rejected.
     """
     _check_tau(tau)
@@ -62,6 +63,14 @@ def _check_tau(tau: float) -> None:
         raise InvalidParam("tau must be a nonnegative real")
 
 
+def _check_grid(grid: Sequence[float]) -> None:
+    """Reject a threshold grid that is empty or not strictly ascending."""
+    if not grid:
+        raise EmptyGrid("empty threshold grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidParam("grid must be strictly ascending")
+
+
 @dataclass(frozen=True)
 class ThresholdScan:
     """SECO profile over a threshold grid plus the selected tau."""
@@ -72,12 +81,9 @@ class ThresholdScan:
     selected: float
 
     def __post_init__(self):
-        if not self.grid:
-            raise EmptyGrid("empty threshold grid")
+        _check_grid(self.grid)
         if not (len(self.grid) == len(self.secos) == len(self.n_clusters)):
             raise InvalidParam("grid, secos and n_clusters must align")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise InvalidParam("grid must be strictly ascending")
         if self.selected not in self.grid:
             raise InvalidParam("selected tau must be a grid point")
 
@@ -92,12 +98,9 @@ def select_threshold(pobs: PseudoObs, chi: ChiMatrix, grid: Sequence[float]) -> 
     is the largest tau whose SECO equals the minimum exactly.
     """
     taus = [float(t) for t in grid]
-    if not taus:
-        raise EmptyGrid("empty threshold grid")
     if any(t < 0.0 for t in taus):
         raise InvalidParam("grid values must be nonnegative")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise InvalidParam("grid must be strictly ascending")
+    _check_grid(taus)
     if (chi.d, chi.k) != (pobs.d, pobs.k):
         raise DimensionMismatch(
             f"chi matrix of d = {chi.d}, k = {chi.k} for pseudo-observations "

@@ -495,6 +495,11 @@ def _process_pool(workers: int):
         except BaseException:
             for process in list(pool._processes.values()):
                 process.kill()
+            # a worker killed halfway through sending a result leaves part of
+            # it in the pipe; with this process's write end closed too, the
+            # pool's reader thread sees end-of-file and marks the pool broken
+            # instead of waiting for the rest, so the pool's exit returns
+            pool._result_queue._writer.close()
             raise
 
 

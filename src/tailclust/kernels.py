@@ -3,8 +3,9 @@
 pairwise_abs_diff_sums feeds the madogram chi matrix, one numpy reduction
 per column a over all of its partner columns b > a; subset_gap_sum feeds
 the SECO criterion; pair_order sorts the pairs of a chi matrix once,
-and eco_labels runs greedy ECO clustering for one threshold as a
-forward-only sweep over that order, so a threshold scan shares one sort.
+and eco_labels runs greedy ECO clustering (cluster.eco_cluster states
+the rule) for one threshold as a forward-only sweep over that order, so
+a threshold scan shares one sort.
 The test suite pins each kernel against a plain-loop oracle.
 """
 
@@ -95,11 +96,13 @@ def _first_live(first, second, active, pos):
 
 
 def eco_labels(chi, tau, order):
-    """Greedy ECO cluster label of each variable, in extraction order.
+    """Greedy ECO cluster label of each variable; see cluster.eco_cluster.
 
-    order is pair_order(chi). Variables only ever leave the active set, so
-    the first pair of order with both ends active, the argmax seed pair,
-    moves forward only, and a scan over many taus shares one sort.
+    order is pair_order(chi). Labels 0 .. c-1 are the clusters of two or
+    more variables in extraction order; the singletons follow in index
+    order. Variables only ever leave the active set, so the first pair of
+    order with both ends active, the argmax seed pair, moves forward only,
+    and a scan over many taus shares one sort.
     """
     d = chi.shape[0]
     first, second = order
@@ -108,23 +111,19 @@ def eco_labels(chi, tau, order):
     remaining = d
     cid = 0
     pos = 0
-    while remaining:
-        if remaining == 1:
-            labels[active] = cid
-            break
+    while remaining > 1:
         # two active variables leave at least one live pair ahead of pos
         pos = _first_live(first, second, active, pos)
         a = int(first[pos])
         b = int(second[pos])
         if chi[a, b] <= tau:
-            labels[a] = cid
-            active[a] = False
-            remaining -= 1
-        else:
-            idx = np.flatnonzero(active)
-            members = idx[np.minimum(chi[a, idx], chi[b, idx]) >= tau]
-            labels[members] = cid
-            active[members] = False
-            remaining -= members.size
+            # every later seed has a chi no larger, so it fails too
+            break
+        idx = np.flatnonzero(active)
+        members = idx[np.minimum(chi[a, idx], chi[b, idx]) >= tau]
+        labels[members] = cid
+        active[members] = False
+        remaining -= members.size
         cid += 1
+    labels[active] = np.arange(cid, cid + remaining)
     return labels

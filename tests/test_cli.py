@@ -778,21 +778,27 @@ def test_experiment_flags_land_in_their_config_fields(tmp_path, monkeypatch):
 
     configs = []
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: configs.append(cfg) or [])
-    argv = ["experiment", "--experiment", "E1", "--framework", "F3", "--d", "4",
-            "--out", str(tmp_path / "res.csv")]
-    assert main(argv) == 0
-    assert configs.pop() == ExperimentConfig("E1", "F3", 4)
-    flags = [
-        "--p", "0.9", "--beta", "2", "--reps", "7", "--seed", "11", "--n", "2000", "--m", "10",
-        "--m-grid", "5,10", "--k-grid", "30,60", "--tau-grid", "0.25,0.5", "--competitors",
+    common = [
+        "--p", "0.9", "--beta", "2", "--reps", "7", "--seed", "11", "--competitors",
         "--skm-restarts", "3", "--threads", "2",
     ]
-    assert main(argv + flags) == 0
-    assert configs.pop() == ExperimentConfig(
-        "E1", "F3", 4, p=0.9, beta=2.0, reps=7, master_seed=11, n=2000, m=10,
-        m_grid=(5, 10), k_grid=(30, 60), tau_grid=(0.25, 0.5), include_competitors=True,
-        skm_restarts=3, threads=2,
-    )
+    # each grid flag is given with a framework that reads it
+    grids = {
+        "F1": (["--n", "2000", "--m-grid", "5,10"], dict(n=2000, m_grid=(5, 10))),
+        "F2": (["--m", "10", "--k-grid", "30,60"], dict(m=10, k_grid=(30, 60))),
+        "F3": (["--n", "2000", "--m", "10", "--tau-grid", "0.25,0.5"],
+               dict(n=2000, m=10, tau_grid=(0.25, 0.5))),
+    }
+    for framework, (flags, fields) in grids.items():
+        argv = ["experiment", "--experiment", "E1", "--framework", framework, "--d", "4",
+                "--out", str(tmp_path / "res.csv")]
+        assert main(argv) == 0
+        assert configs.pop() == ExperimentConfig("E1", framework, 4)
+        assert main(argv + common + flags) == 0
+        assert configs.pop() == ExperimentConfig(
+            "E1", framework, 4, p=0.9, beta=2.0, reps=7, master_seed=11,
+            include_competitors=True, skm_restarts=3, threads=2, **fields,
+        )
 
 
 def test_experiment_timings_column_is_opt_in(tmp_path, capsys):
@@ -869,6 +875,25 @@ def test_experiment_flag_errors(tmp_path, capsys):
     for argv in bad:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.csv").exists()
+    # a flag that the framework does not read, refused by name before any simulation
+    unread = [
+        ("F1", ["--tau-grid", "0.1,0.2", "--k-grid", "5", "--m", "7", "--m-grid", "5"],
+         "--tau-grid is not read by framework F1"),
+        ("F1", ["--m", "7"], "--m is not read by framework F1"),
+        ("F1", ["--k-grid", "5"], "--k-grid is not read by framework F1"),
+        ("F2", ["--n", "2000"], "--n is not read by framework F2"),
+        ("F2", ["--m-grid", "5"], "--m-grid is not read by framework F2"),
+        ("F2", ["--tau-grid", "0.1"], "--tau-grid is not read by framework F2"),
+        ("F3", ["--m-grid", "5"], "--m-grid is not read by framework F3"),
+        ("F3", ["--k-grid", "5"], "--k-grid is not read by framework F3"),
+        ("F1", ["--skm-restarts", "3"], "--skm-restarts requires --competitors"),
+    ]
+    for framework, flags, message in unread:
+        argv = ["experiment", "--experiment", "E2", "--framework", framework, "--d", "10",
+                "--reps", "1", *flags, "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.csv").exists()
 
 

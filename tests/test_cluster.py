@@ -247,11 +247,11 @@ def test_select_threshold_prefers_largest_minimizer(rng):
 def test_select_threshold_validation(rng):
     p = random_pobs(rng, 20, 3)
     chi = chi_matrix(p)
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(EmptyGrid, match="empty threshold grid"):
         select_threshold(p, chi, [])
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="grid must be strictly ascending"):
         select_threshold(p, chi, [0.3, 0.2])
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="grid values must be nonnegative"):
         select_threshold(p, chi, [-0.1, 0.2])
     # a chi matrix of other data is refused, not scanned
     with pytest.raises(DimensionMismatch):
@@ -281,13 +281,13 @@ def test_select_threshold_never_recomputes_chi(rng, monkeypatch):
 
 
 def test_threshold_scan_validation():
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(EmptyGrid, match="empty threshold grid"):
         ThresholdScan((), (), (), 0.0)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="grid, secos and n_clusters must align"):
         ThresholdScan((0.1, 0.2), (0.0,), (1, 2), 0.1)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="grid must be strictly ascending"):
         ThresholdScan((0.2, 0.1), (0.0, 0.0), (1, 2), 0.1)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="selected tau must be a grid point"):
         ThresholdScan((0.1, 0.2), (0.0, 0.0), (1, 2), 0.15)
 
 

@@ -1,5 +1,9 @@
 """Domain types, partition algebra, and serialization."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -550,3 +554,42 @@ def test_a_pool_killed_on_error_returns_before_its_busy_worker_would():
         done = pool.submit(sum, [1, 2])
     assert done.result() == 3
     assert_no_child_left()
+
+
+# run as a script: its worker sends the header and half the payload of its
+# result, then stalls until it is killed, and the caller raises meanwhile
+HALF_SENT_RESULT = """
+import multiprocessing.connection, os, struct, sys, time
+from conftest import assert_no_child_left
+from tailclust import core
+
+def half_sent(marker):
+    def stalled(self, buf):
+        self._send(struct.pack("!i", len(buf)) + bytes(buf[:len(buf) // 2]))
+        open(marker, "w").close()
+        time.sleep(60)
+    # patched in the worker only
+    multiprocessing.connection.Connection._send_bytes = stalled
+    return bytes(1 << 20)
+
+try:
+    with core._process_pool(1) as pool:
+        pool.submit(half_sent, sys.argv[1])
+        while not os.path.exists(sys.argv[1]):
+            time.sleep(0.01)
+        raise RuntimeError("stopped in the caller")
+except RuntimeError:
+    assert_no_child_left()
+    print("returned")
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_pool_killed_during_a_result_write_returns(tmp_path):
+    # the pool's reader thread has half a message; a hang is killed by the timeout
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    out = subprocess.run([sys.executable, "-c", HALF_SENT_RESULT, str(tmp_path / "sent")],
+                         capture_output=True, text=True, env=env, timeout=30)
+    assert (out.returncode, out.stdout) == (0, "returned\n"), out.stderr

@@ -95,6 +95,16 @@ def eco_labels_loops(chi, tau):
     return labels
 
 
+def assert_matches_oracle(labels, oracle):
+    # the partition is the contract: the c clusters of two or more variables
+    # keep the oracle's labels 0 .. c-1, and the singletons follow in index
+    # order (the oracle numbers them in the order its failed seeds met them)
+    c = int(np.count_nonzero(np.bincount(oracle) >= 2))
+    head = oracle < c
+    assert np.array_equal(labels[head], oracle[head])
+    assert np.array_equal(labels[~head], np.arange(c, c + np.count_nonzero(~head)))
+
+
 def random_chi(rng, d, quantize=False):
     vals = rng.uniform(-0.2, 1.0, size=(d, d))
     if quantize:
@@ -137,7 +147,7 @@ def test_eco_label_paths_agree_exactly(rng):
             # and the non-strict membership test (>= tau) on their boundary
             tau = float(rng.choice(chi[np.triu_indices(d, k=1)]))
         labels = kernels.eco_labels(chi, tau, kernels.pair_order(chi))
-        assert np.array_equal(eco_labels_loops(chi, tau), labels)
+        assert_matches_oracle(labels, eco_labels_loops(chi, tau))
 
 
 @pytest.mark.parametrize(
@@ -198,6 +208,13 @@ def test_column_permutation_permutes_chi_and_relabels_eco(seed, k, perm, q):
     assert groups(relabeled, perm) == groups(base, np.arange(d))
 
 
+def tau_grid(rng, off):
+    # every off-diagonal value is a boundary case for the seed and the
+    # membership tests; above the largest value all are singletons
+    grid = np.unique(np.concatenate([off, rng.uniform(0.0, 1.0, 5), [off.max() + 0.1]]))
+    return [float(tau) for tau in grid[grid >= 0.0]]
+
+
 def test_eco_labels_shared_order_matches_loops_on_a_grid(rng):
     for trial in range(12):
         d = int(rng.integers(2, 30))
@@ -209,13 +226,38 @@ def test_eco_labels_shared_order_matches_loops_on_a_grid(rng):
         expected = np.lexsort((cols, rows, -off))
         assert np.array_equal(order, np.stack((rows[expected], cols[expected])))
         assert chi.pair_order is order and not order.flags.writeable
-        # every off-diagonal value is a boundary case for the seed and the
-        # membership tests; above the largest value all are singletons
-        grid = np.unique(np.concatenate([off, rng.uniform(0.0, 1.0, 5), [off.max() + 0.1]]))
-        for tau in grid[grid >= 0.0]:
-            labels = kernels.eco_labels(vals, float(tau), order)
-            assert np.array_equal(labels, eco_labels_loops(vals, float(tau)))
-        assert np.unique(labels).size == d
+        for tau in tau_grid(rng, off):
+            labels = kernels.eco_labels(vals, tau, order)
+            assert_matches_oracle(labels, eco_labels_loops(vals, tau))
+        assert np.array_equal(labels, np.arange(d))
+
+
+def test_eco_labels_stops_at_the_first_failed_seed(rng, monkeypatch):
+    calls = []
+    first_live = kernels._first_live
+
+    def counted(*args):
+        calls.append(args)
+        return first_live(*args)
+
+    monkeypatch.setattr(kernels, "_first_live", counted)
+    for d in (3, 4, 17):
+        vals = random_chi(rng, d)
+        off = vals[np.triu_indices(d, k=1)]
+        # the first seed fails, so one search decides all d singletons
+        calls.clear()
+        labels = kernels.eco_labels(vals, float(off.max()) + 0.05, kernels.pair_order(vals))
+        assert np.array_equal(labels, np.arange(d)) and len(calls) == 1
+    for trial in range(12):
+        d = int(rng.integers(2, 30))
+        vals = random_chi(rng, d, quantize=trial % 2 == 0)
+        order = kernels.pair_order(vals)
+        for tau in tau_grid(rng, vals[np.triu_indices(d, k=1)]):
+            calls.clear()
+            labels = kernels.eco_labels(vals, tau, order)
+            # one search per cluster of two or more, and at most one failed seed
+            c = int(np.count_nonzero(np.bincount(labels) >= 2))
+            assert len(calls) <= c + 1
 
 
 def test_gap_sum_never_negative_for_identical_columns():
