@@ -20,12 +20,13 @@ import sys
 import numpy as np
 
 from . import kernels
-from .cluster import _check_tau, _grid, eco_cluster, scan_to_csv, select_threshold
+from .cluster import _check_grid_ends, _check_tau, _grid, eco_cluster, scan_to_csv, select_threshold
 from .core import (
     InvalidParam,
     MalformedInput,
     MaximaMatrix,
     TailclustError,
+    _adopt,
     _check_block_length,
     _csv_matrix,
     _fmt,
@@ -194,7 +195,7 @@ def _read_maxima(path: str, m: int, pool=None, *, _split: int | None = None):
     # the block left open at the split, finished by the second half's head
     straddle = _cut_blocks(np.concatenate([left_open, head]), 0, m)[1]
     values = np.concatenate([maxima, straddle, rest])
-    return names, MaximaMatrix(values, block_length=m, source_length=n)
+    return names, _adopt(MaximaMatrix, values, block_length=m, source_length=n)
 
 
 def _pairwise_in_halves(pool, pobs) -> None:
@@ -247,6 +248,8 @@ def cmd_cluster(args) -> int:
                 raise InvalidParam(f"--{flag.replace('_', '-')} must be finite")
         if any(b is not None and b < 0.0 for b in (args.grid_lo, args.grid_hi)):
             raise InvalidParam("grid values must be nonnegative")
+        if args.grid_lo is not None and args.grid_hi is not None:
+            _check_grid_ends(args.grid_lo, args.grid_hi)
     _check_block_length(args.block_size)
     with _process_pool(_workers_for(args.input)) as pool:
         names, maxima = _read_maxima(args.input, args.block_size, pool)

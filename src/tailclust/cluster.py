@@ -134,7 +134,15 @@ def _grid(m: int, d: int, k: int, lo: float | None = None, hi: float | None = No
     tau0 = tau_theory(m, d, k)
     lo = 0.1 * tau0 if lo is None else lo
     hi = 2.5 * tau0 if hi is None else hi
+    _check_grid_ends(lo, hi)
     return [float(t) for t in np.unique(np.linspace(lo, hi, 41 if n is None else n))]
+
+
+def _check_grid_ends(lo: float, hi: float) -> None:
+    """Reject a scan range whose lower end lies above its upper end."""
+    # np.unique would sort the reversed linspace into a scan over [hi, lo]
+    if lo > hi:
+        raise InvalidParam(f"scan grid lower end {lo!r} lies above its upper end {hi!r}")
 
 
 def scan_to_csv(scan: ThresholdScan) -> str:

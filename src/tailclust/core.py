@@ -2,7 +2,9 @@
 
 Every array-backed type validates its invariants once at construction and
 freezes its buffer (``writeable = False``), so instances are safe to share
-across threads without copying.
+across threads without copying. A public construction freezes a copy of the
+caller's array; the package hands the arrays it has just built over without
+one (_adopt), and the same checks run.
 """
 
 from __future__ import annotations
@@ -107,10 +109,35 @@ class MalformedInput(TailclustError, ValueError):
     """A CSV or JSON input file cannot be parsed."""
 
 
+# the array _adopt hands to a constructor on this thread, if any
+_handed = threading.local()
+
+
 def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only C-ordered copy of values; the array that _adopt hands over is frozen as is."""
+    handed = values is getattr(_handed, "array", None)
+    if handed and values.dtype == dtype and values.flags.c_contiguous:
+        values.flags.writeable = False
+        return values
     arr = np.array(values, dtype=dtype, order="C", copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _adopt(cls, values: np.ndarray, **fields):
+    """cls(values, **fields), holding values itself rather than a copy of it.
+
+    For an array the package has just built and nobody else holds: it is
+    frozen in place. The constructor runs every check of cls once, with the
+    same errors and messages as a public construction, which copies its
+    input. An array that is not C-ordered of the class's dtype is still
+    copied.
+    """
+    _handed.array = values
+    try:
+        return cls(values, **fields)
+    finally:
+        _handed.array = None
 
 
 def _memo(obj, name: str, compute) -> np.ndarray:

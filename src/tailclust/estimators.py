@@ -28,6 +28,7 @@ from .core import (
     InvalidParam,
     Partition,
     PseudoObs,
+    _adopt,
     _check_blocks,
     _csv_matrix,
 )
@@ -117,7 +118,7 @@ def chi_matrix(pobs: PseudoObs) -> ChiMatrix:
     nu = pobs.abs_diff_sums / (2.0 * k)
     chi = 2.0 - (0.5 + nu) / (0.5 - nu)
     np.fill_diagonal(chi, 1.0)
-    return ChiMatrix(values=chi, k=k)
+    return _adopt(ChiMatrix, chi, k=k)
 
 
 def seco(pobs: PseudoObs, partition: Partition) -> float:

@@ -165,8 +165,8 @@ def _one_rep(cfg: ExperimentConfig, gi: int, value, ri: int) -> dict:
         m, n = cfg.m, cfg.m * int(value)
     else:
         m, n = cfg.m, cfg.n
-    maxima = repetition_block_maxima(RepetitionConfig(p=cfg.p, n=n, model=model), m, rng)
-    pobs = pseudo_obs(maxima)
+    # the maxima are freed once ranked
+    pobs = pseudo_obs(repetition_block_maxima(RepetitionConfig(p=cfg.p, n=n, model=model), m, rng))
     k = n // m
 
     out = {}

@@ -1,11 +1,12 @@
 """Hot numeric kernels of the pipeline, one vectorized numpy body each.
 
 pairwise_abs_diff_sums feeds the madogram chi matrix, one numpy reduction
-per column a over all of its partner columns b > a; subset_gap_sum feeds
-the SECO criterion; pair_order sorts the pairs of a chi matrix once,
-and eco_labels runs greedy ECO clustering (cluster.eco_cluster states
-the rule) for one threshold as a forward-only sweep over that order, so
-a threshold scan shares one sort.
+per tile of column a's partner columns b > a: its scratch is one
+transposed copy of the input and one tile of at most _PAIR_TILE entries,
+whatever d is. subset_gap_sum feeds the SECO criterion; pair_order sorts
+the pairs of a chi matrix once, and eco_labels runs greedy ECO clustering
+(cluster.eco_cluster states the rule) for one threshold as a forward-only
+sweep over that order, so a threshold scan shares one sort.
 The test suite pins each kernel against a plain-loop oracle.
 """
 
@@ -25,6 +26,9 @@ __all__ = [
 
 # first window of the skip over dead pairs in eco_labels; doubles on a miss
 _SKIP_WINDOW = 32
+# float64 entries of the tile of partner columns that pairwise_abs_diff_sums
+# differences at once (512 KiB); a tile holds at least one partner
+_PAIR_TILE = 1 << 16
 
 
 def pairwise_abs_diff_sums(u, lo=0, hi=None):
@@ -35,23 +39,26 @@ def pairwise_abs_diff_sums(u, lo=0, hi=None):
     any range, so the sums over disjoint row ranges add up to the whole
     matrix bit for bit.
     """
-    d = u.shape[1]
+    k, d = u.shape
     hi = d - 1 if hi is None else hi
     out = np.zeros((d, d))
-    # columns lo.. of u as contiguous rows, and one buffer for a's partners
+    # columns lo.. of u as contiguous rows, and one tile for a's partners
     ut = np.ascontiguousarray(u[:, lo:].T)
-    buf = np.empty_like(ut[1:])
+    rows = max(1, _PAIR_TILE // k)
+    tile = np.empty((min(rows, len(ut)), k))
     for a in range(lo, hi):
         j = a - lo
-        diff = buf[j:]
-        np.subtract(ut[j + 1:], ut[j], out=diff)
-        np.abs(diff, out=diff)
-        # each pair (a, b) is one contiguous length-k reduction along axis 1:
-        # the summation tree depends only on k, so relabeling columns
-        # permutes the result bit for bit and it equals a per-pair 1-D .sum()
-        s = diff.sum(axis=1)
-        out[a, a + 1:] = s
-        out[a + 1:, a] = s
+        for b in range(a + 1, d, rows):
+            diff = tile[:min(rows, d - b)]
+            np.subtract(ut[b - lo:b - lo + len(diff)], ut[j], out=diff)
+            np.abs(diff, out=diff)
+            # each pair (a, b) is one contiguous length-k reduction along
+            # axis 1: the summation tree depends only on k, so relabeling
+            # columns permutes the result bit for bit and it equals a
+            # per-pair 1-D .sum()
+            s = diff.sum(axis=1)
+            out[a, b:b + len(s)] = s
+            out[b:b + len(s), a] = s
     return out
 
 

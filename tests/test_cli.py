@@ -125,6 +125,24 @@ def test_cluster_grid_flags(noise_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, ends",
+    [
+        (["--grid-hi", "0.01"], lambda tau0: (0.1 * tau0, 0.01)),
+        (["--grid-lo", "5"], lambda tau0: (5.0, 2.5 * tau0)),
+    ],
+    ids=["hi-below-default-lo", "lo-above-default-hi"],
+)
+def test_cluster_rejects_a_grid_flag_beyond_the_default_other_end(flags, ends, noise_csv, tmp_path, capsys):
+    # the default end is known only after the read: k = 200 blocks of 10 over 3 columns
+    out = tmp_path / "part.json"
+    argv = ["cluster", "--input", str(noise_csv), "--block-size", "10", "--auto-tau", "--out-partition", str(out)]
+    assert main(argv + flags) == 2
+    lo, hi = ends(tau_theory(10, 3, 200))
+    assert capsys.readouterr().err == f"error: scan grid lower end {lo!r} lies above its upper end {hi!r}\n"
+    assert not out.exists()
+
+
 def test_cluster_rerun_is_byte_identical(noise_csv, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -175,6 +193,10 @@ def test_cluster_flag_errors(noise_csv, capsys):
         (["--grid-lo", "nan", "--grid-hi", "nan"], "--grid-lo must be finite"),
         (["--block-size", "0"], "block length must be a positive integer"),
         (["--block-size", "-3", "--grid-n", "3"], "block length must be a positive integer"),
+        (["--grid-lo", "1", "--grid-hi", "0.5"], "scan grid lower end 1.0 lies above its upper end 0.5"),
+        (["--grid-hi", "0.25", "--grid-n", "3", "--grid-lo", "0.75"],
+         "scan grid lower end 0.75 lies above its upper end 0.25"),
+        (["--grid-lo", "-1", "--grid-hi", "-2"], "grid values must be nonnegative"),
     ],
 )
 def test_cluster_rejects_grid_flags_before_reading_the_input(flags, message, monkeypatch, capsys):

@@ -78,6 +78,63 @@ def test_series_values_frozen_and_decoupled():
         s.values[0, 0] = 3.0
 
 
+# one valid and one invalid array per type that the package hands over
+_ADOPTED = [
+    (MaximaMatrix, [[1.0, 2.0], [3.0, 4.0]], [[1.0, np.nan], [3.0, 4.0]], dict(block_length=1, source_length=2)),
+    (PseudoObs, [[1.0, 0.5], [0.5, 1.0]], [[0.2], [0.5], [1.0]], {}),
+    (ChiMatrix, [[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.4, 1.0]], dict(k=10)),
+]
+_ADOPTED_IDS = ["maxima", "pseudo_obs", "chi"]
+
+
+@pytest.mark.parametrize("cls, good, bad, fields", _ADOPTED, ids=_ADOPTED_IDS)
+def test_adopt_raises_what_the_public_constructor_raises(cls, good, bad, fields):
+    # NaN maxima, off-grid pseudo-observations, an asymmetric chi
+    with pytest.raises(TailclustError) as public:
+        cls(np.array(bad), **fields)
+    with pytest.raises(TailclustError) as adopted:
+        core._adopt(cls, np.array(bad), **fields)
+    assert type(adopted.value) is type(public.value)
+    assert str(adopted.value) == str(public.value)
+
+
+def test_a_failed_hand_over_is_forgotten():
+    raw = np.ones((2, 2))
+    with pytest.raises(DimensionMismatch):
+        core._adopt(MaximaMatrix, raw, block_length=1, source_length=3)
+    # the next construction of the same array is a public one: it copies
+    assert MaximaMatrix(raw, block_length=1, source_length=2).values is not raw
+
+
+@pytest.mark.parametrize("cls, good, bad, fields", _ADOPTED, ids=_ADOPTED_IDS)
+def test_adopt_holds_the_very_array_it_was_handed_read_only(cls, good, bad, fields, monkeypatch):
+    checks = []
+    check = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: checks.append(cls) or check(self))
+    raw = np.array(good)
+    obj = core._adopt(cls, raw, **fields)
+    assert obj.values is raw and not raw.flags.writeable
+    assert checks == [cls]  # the checks ran once
+    with pytest.raises(ValueError):
+        raw[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("cls, good, bad, fields", _ADOPTED, ids=_ADOPTED_IDS)
+def test_public_construction_keeps_its_copy(cls, good, bad, fields):
+    raw = np.array(good)
+    obj = cls(raw, **fields)
+    before = obj.values.copy()
+    raw[0, 0] = 0.25  # still the caller's, and writeable
+    assert np.array_equal(obj.values, before) and not obj.values.flags.writeable
+
+
+def test_adopt_copies_an_array_of_another_layout_or_dtype():
+    for raw in (np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 2], [3, 4]])):
+        obj = core._adopt(MaximaMatrix, raw, block_length=1, source_length=2)
+        assert obj.values is not raw and raw.flags.writeable
+        assert obj.values.flags.c_contiguous and obj.values.dtype == np.float64
+
+
 def test_maxima_row_count_must_match():
     MaximaMatrix(np.ones((3, 2)), block_length=2, source_length=7)
     with pytest.raises(DimensionMismatch):

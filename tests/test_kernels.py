@@ -1,5 +1,7 @@
 """Each numpy kernel against its plain-loop oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -267,3 +269,46 @@ def test_gap_sum_never_negative_for_identical_columns():
     idx = np.arange(3, dtype=np.int64)
     assert kernels.subset_gap_sum(u, idx) == 0.0
     assert gap_sum_loops(u, idx) == 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 11])
+def test_pairwise_in_tiles_matches_per_pair_sums_at_every_row_range(rows, rng, monkeypatch):
+    # tiles of one partner, tiles that do and do not divide the partner
+    # counts, and one tile for all; every range start c lands on or off a
+    # tile edge
+    k, d = 37, 11
+    monkeypatch.setattr(kernels, "_PAIR_TILE", rows * k)
+    u = rng.random((k, d))
+    whole = pairwise_pair_sums(u)
+    assert np.array_equal(kernels.pairwise_abs_diff_sums(u), whole)
+    for c in range(d):
+        first = kernels.pairwise_abs_diff_sums(u, 0, c)
+        assert np.array_equal(first + kernels.pairwise_abs_diff_sums(u, c, d - 1), whole), c
+        for hi in range(c, d):
+            part = kernels.pairwise_abs_diff_sums(u, c, hi)
+            inside = np.zeros((d, d), dtype=bool)
+            inside[c:hi, :] = np.triu(np.ones((d, d), dtype=bool), k=1)[c:hi, :]
+            inside |= inside.T
+            assert np.array_equal(part, np.where(inside, whole, 0.0)), (c, hi)
+
+
+def test_pairwise_takes_one_partner_per_tile_at_large_k(rng):
+    k = kernels._PAIR_TILE + 5
+    u = rng.random((k, 3))
+    assert np.array_equal(kernels.pairwise_abs_diff_sums(u), pairwise_pair_sums(u))
+
+
+@pytest.mark.parametrize("k, d", [(3333, 60), (1000, 400)])
+def test_pairwise_scratch_is_one_copy_one_tile_and_the_output(k, d, rng):
+    u = rng.random((k, d))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kernels.pairwise_abs_diff_sums(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the transposed copy, one tile of partners and the d x d output, plus
+    # what a broadcasting ufunc may buffer (at most numpy's buffer size)
+    assert peak <= 8 * (k * d + kernels._PAIR_TILE + d * d + np.getbufsize())

@@ -1,5 +1,7 @@
 """Block maxima and pseudo-observations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,8 @@ from tailclust import (
     block_maxima,
     pseudo_obs,
 )
+
+from tailclust import maxima as maxima_module
 
 from conftest import pobs_of
 
@@ -148,3 +152,54 @@ def test_pseudo_obs_matches_per_column_searchsorted(x):
         assert str(info.value) == str(exc)
     else:
         assert np.array_equal(pseudo_obs(maxima).values, expected)
+
+
+def _tied_columns(rng, k, d):
+    """k x d maxima whose columns each take a few values, so every column has ties."""
+    return rng.integers(0, 1 + rng.integers(1, 6, size=d), size=(k, d)).astype(float)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 10, 11])
+def test_pseudo_obs_in_column_slabs_matches_the_oracle_bit_for_bit(width, rng, monkeypatch):
+    # slabs of one column, widths that do and do not divide d = 10, and one
+    # slab for all; tie groups in every slab
+    k, d = 40, 10
+    monkeypatch.setattr(maxima_module, "_RANK_CHUNK", width * k)
+    x = _tied_columns(rng, k, d)
+    x[:, ::4] = rng.random((k, 3))  # tie-free columns among them
+    got = pseudo_obs(MaximaMatrix(x, block_length=1, source_length=k)).values
+    assert np.array_equal(got, pseudo_obs_loops(x))
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 10])
+def test_pseudo_obs_names_the_lowest_constant_column_whatever_the_slab(width, rng, monkeypatch):
+    k, d = 30, 10
+    monkeypatch.setattr(maxima_module, "_RANK_CHUNK", width * k)
+    x = _tied_columns(rng, k, d)
+    x[:, [5, 8, 9]] = 2.0
+    with pytest.raises(InvalidParam, match="^column 5 "):
+        pseudo_obs(MaximaMatrix(x, block_length=1, source_length=k))
+
+
+def test_pseudo_obs_ranks_one_column_per_slab_at_large_k(rng):
+    k = maxima_module._RANK_CHUNK + 3
+    x = np.column_stack([rng.random(k), rng.integers(0, 50, k), rng.integers(0, 2, k)]).astype(float)
+    got = pseudo_obs(MaximaMatrix(x, block_length=1, source_length=k)).values
+    assert np.array_equal(got, pseudo_obs_loops(x))
+
+
+def test_pseudo_obs_scratch_stays_within_three_output_arrays(rng):
+    # one experiment replication at m = 3: the output, the PseudoObs grid
+    # check's scaled copy and one slab's sort buffers fit in 3 k x d arrays
+    k, d = 3333, 60
+    maxima = MaximaMatrix(rng.random((k, d)), block_length=1, source_length=k)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        pobs = pseudo_obs(maxima)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pobs.values.shape == (k, d)
+    assert peak <= 3 * k * d * 8
