@@ -112,11 +112,16 @@ def chi_matrix(pobs: PseudoObs) -> ChiMatrix:
 
     Agrees with 2 - extremal_coefficient(madogram(pobs, {a, b})) entry by
     entry; the pairwise madogram reduces to (1/(2k)) sum_i |U[i,a] - U[i,b]|.
-    Values below zero are kept, not clipped.
+    Values below zero are kept, not clipped. The ratio is formed in place
+    on nu, so the scratch is nu and one denominator; 0.5 + nu = nu + 0.5,
+    so the bits are those of 2 - (0.5 + nu) / (0.5 - nu).
     """
     k = pobs.k
     nu = pobs.abs_diff_sums / (2.0 * k)
-    chi = 2.0 - (0.5 + nu) / (0.5 - nu)
+    den = 0.5 - nu
+    nu += 0.5
+    nu /= den
+    chi = np.subtract(2.0, nu, out=nu)
     np.fill_diagonal(chi, 1.0)
     return _adopt(ChiMatrix, chi, k=k)
 

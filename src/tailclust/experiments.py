@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise InvalidParam("reps must be positive")
         if not 0.0 < self.p <= 1.0:
             raise InvalidParam("p must lie in (0, 1]")
+        if not math.isfinite(self.beta):
+            raise InvalidParam("beta must be finite")
         if not self.beta >= 1.0:
             raise InvalidParam("beta must be at least 1")
         if self.include_competitors and self.skm_restarts < 1:

@@ -18,6 +18,7 @@ copula, sampled directly from a single stable frailty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,12 @@ class NestedModel:
     def __post_init__(self):
         object.__setattr__(self, "group_betas", tuple(float(b) for b in self.group_betas))
         object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
+        # nan fails no comparison below, and inf passes them all
+        for name, value in (("theta", self.theta), ("beta0", self.beta0)):
+            if not math.isfinite(value):
+                raise InvalidParam(f"{name} must be finite")
+        if not all(math.isfinite(b) for b in self.group_betas):
+            raise InvalidParam("every group beta must be finite")
         if not self.theta > 0.0:
             raise InvalidParam("theta must be positive")
         if not self.beta0 >= 1.0:
@@ -156,40 +163,77 @@ def sample_nested(model: NestedModel, n: int, rng: np.random.Generator) -> np.nd
     Global frailty V0 = Gamma^beta0 * S0; group g reuses it as
     V_g = V0^(beta_g/beta0) * S_g with S_g ~ stable(beta0/beta_g), which
     degenerates to V_g = V0 when beta_g = beta0. Cross-group pairs follow
-    the outer copula, within-group pairs the group copula.
+    the outer copula, within-group pairs the group copula. Each group's
+    margins are mapped one row chunk at a time and written straight into
+    the output, so the scratch beyond it is one chunk and O(n) frailties.
     """
     if n < 1:
         raise InvalidParam("n must be positive")
     out = np.empty((n, model.d))
-    for beta_g, cols, x in _frailty_ratios(model, n, rng):
-        out[:, cols] = _clayton_margin(x, beta_g, model.theta)
+    for beta_g, cols, rows, x in _frailty_ratios(model, np.arange(n), 1, n, rng):
+        out[rows, cols] = _clayton_margin(x, beta_g, model.theta)
     return out
 
 
-def _frailty_ratios(model: NestedModel, n: int, rng: np.random.Generator):
-    """Yield (beta_g, column slice, E / V_g) per group, in generator order.
+# float64 entries of the buffer that one group's innovations are drawn into
+# a chunk at a time (512 KiB); a chunk holds at least one whole block
+_DRAW_CHUNK = 1 << 16
 
-    Every draw of the nested model is made here, so sample_nested and
-    repetition_block_maxima consume the generator identically. The caller
-    must exhaust the iterator before drawing anything else.
+
+def _frailty_ratios(
+    model: NestedModel, steps: np.ndarray, m: int, n: int, rng: np.random.Generator
+):
+    """Yield (beta_g, column slice, block slice, E / V_g) per chunk of whole blocks.
+
+    Every draw of the nested model is made here, in generator order, so
+    sample_nested and repetition_block_maxima consume the generator
+    identically. The model is drawn at n innovations. Step t is innovation
+    steps[t] (steps[0] = 0, each next step the same innovation or the next
+    one) and block b is steps b*m .. (b+1)*m - 1. Group by group, the blocks
+    come in chunks: the yielded block slice names them, and row i of x is
+    innovation steps[blocks.start * m] + i, up to steps[blocks.stop * m - 1].
+
+    x is a view of one buffer of at most _DRAW_CHUNK entries (or of one
+    block, if that is larger), which the next chunk overwrites. The
+    exponentials are drawn into it with standard_exponential(out=...) in
+    the C order of one n x size draw, so the bits and the generator state
+    are those of that draw: the same as rng.exponential(1.0, ...), whose
+    only extra work is an exact multiply by the unit scale. When a chunk
+    starts on the previous chunk's last innovation, that row of x is copied
+    to its top, so a caller that writes into x must not have such steps.
+    The innovations after the last whole block are drawn and dropped. The
+    caller must exhaust the iterator before drawing anything else.
     """
     theta, beta0 = model.theta, model.beta0
-    gam = rng.gamma(1.0 / theta, 1.0, size=n)
-    s0 = sample_positive_stable(1.0 / beta0, rng, size=n)
-    v0 = gam**beta0 * s0
+    v0 = rng.gamma(1.0 / theta, 1.0, size=n) ** beta0
+    v0 *= sample_positive_stable(1.0 / beta0, rng, size=n)
+    k = len(steps) // m
+    per_chunk = [max(1, _DRAW_CHUNK // (m * size)) for size in model.group_sizes]
+    flat = np.empty(max(min(b * m, n) * size for b, size in zip(per_chunk, model.group_sizes)))
     powers = {}  # V0^(beta_g/beta0) per distinct exponent; groups often share one
     start = 0
-    for beta_g, size in zip(model.group_betas, model.group_sizes):
-        s_g = sample_positive_stable(beta0 / beta_g, rng, size=n)
+    for beta_g, size, per in zip(model.group_betas, model.group_sizes, per_chunk):
+        v_g = sample_positive_stable(beta0 / beta_g, rng, size=n)
         r = beta_g / beta0
         if r not in powers:
             powers[r] = v0**r
-        v_g = powers[r] * s_g
-        # the same draws as rng.exponential(1.0, ...), whose only extra work
-        # is an exact multiply by the unit scale
-        x = rng.standard_exponential(size=(n, size))
-        x /= v_g[:, None]
-        yield beta_g, slice(start, start + size), x
+        v_g *= powers[r]
+        cols = slice(start, start + size)
+        buf = flat[: min(per * m, n) * size].reshape(-1, size)
+        lo = drawn = 0  # innovation in buf's first row, innovations drawn so far
+        for b0 in range(0, k, per):
+            blocks = slice(b0, min(b0 + per, k))
+            if steps[b0 * m] < drawn:  # starts on the last row drawn
+                buf[0] = buf[drawn - 1 - lo]
+            lo = int(steps[b0 * m])
+            x = buf[: int(steps[blocks.stop * m - 1]) + 1 - lo]
+            fresh = x[drawn - lo :]
+            rng.standard_exponential(out=fresh)
+            fresh /= v_g[drawn : lo + len(x), None]
+            drawn = lo + len(x)
+            yield beta_g, cols, blocks, x
+        if drawn < n:
+            rng.standard_exponential(out=buf[: n - drawn])
         start += size
 
 
@@ -249,11 +293,13 @@ def repetition_block_maxima(
     Same generator calls in the same order, same bits out. The series is
     never built: per group, each block's minimum of X = E / V_g is taken
     over the innovations the block covers, and the margin map is applied to
-    the k x size minima only. u = (1 + x^(1/beta_g))^(-1/theta) is
-    decreasing in x, so the largest u of a block is the map of its smallest
-    x; the Frechet map -1/log(u) is increasing, so it commutes with the
-    maximum. Both hold bit for bit as long as the floating-point maps are
-    monotone as well, which the property tests check.
+    the minima only. u = (1 + x^(1/beta_g))^(-1/theta) is decreasing in x,
+    so the largest u of a block is the map of its smallest x; the Frechet
+    map -1/log(u) is increasing, so it commutes with the maximum. Both hold
+    bit for bit as long as the floating-point maps are monotone as well,
+    which the property tests check. The innovations are drawn in chunks of
+    whole blocks into one reused buffer (_frailty_ratios), so the scratch
+    is one chunk and O(n) vectors, whatever n x d.
     """
     n = cfg.n
     _check_block_length(m, n)
@@ -264,10 +310,11 @@ def repetition_block_maxima(
     # step t of the series is innovation rows[t]; block b is steps b*m .. (b+1)*m - 1
     steps = rows[: k * m]
     out = np.empty((k, cfg.model.d))
-    for beta_g, cols, x in _frailty_ratios(cfg.model, int(rows[-1]) + 1, rng):
-        # the minima are a temporary, mapped in place and freed before the
-        # next group draws; holding them in a loop variable measured slower
-        out[:, cols] = _clayton_margin(_block_minima(x, steps, m), beta_g, cfg.model.theta)
+    for beta_g, cols, blocks, x in _frailty_ratios(cfg.model, steps, m, int(rows[-1]) + 1, rng):
+        at = steps[blocks.start * m : blocks.stop * m]
+        out[blocks, cols] = _clayton_margin(
+            _block_minima(x, at - at[0], m), beta_g, cfg.model.theta
+        )
     if cfg.margins == "frechet":
         out = _frechet(out)
     return _adopt(MaximaMatrix, out, block_length=m, source_length=n)

@@ -7,6 +7,7 @@ so the whole suite is deterministic run to run.
 
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def random_partition(rng, d):
     for idx, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(idx)
     return canonicalize(groups.values(), d)
+
+
+def scratch_peak(fn, *args):
+    """fn(*args) and the most memory it held at once, in bytes, as tracemalloc sees it.
+
+    Counts what the call allocates, its result included, above what was
+    live when it started: the scratch a memory test bounds.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def assert_no_child_left():

@@ -775,6 +775,12 @@ def test_simulate_flag_errors(tmp_path, capsys):
     for argv in bad:
         assert main(argv) == 2
         capsys.readouterr()
+    # rejected by the model before anything is sampled or written
+    for beta in ("inf", "nan"):
+        argv = ["simulate", "--experiment", "E2", "--d", "10", "--n", "50", "--beta", beta, "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: every group beta must be finite\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +878,10 @@ def test_experiment_flag_errors(tmp_path, capsys):
         ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "9", "--out", out],
         ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
          "--beta", "0.5", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--beta", "inf", "--out", out],
+        ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
+         "--beta", "nan", "--out", out],
         ["experiment", "--experiment", "E1", "--framework", "F1", "--d", "4",
          "--competitors", "--skm-restarts", "0", "--out", out],
         # grid values of the active framework

@@ -23,7 +23,7 @@ from tailclust import (
     tau_theory,
 )
 
-from conftest import pobs_of, random_pobs
+from conftest import pobs_of, random_pobs, scratch_peak
 
 COUNTERMONOTONE = np.array(
     [[0.25, 1.0], [0.5, 0.75], [0.75, 0.5], [1.0, 0.25]]
@@ -182,6 +182,26 @@ def test_chi_matrix_permutation_equivariance(rng):
     a = chi_matrix(pobs_of(raw[:, perm]))
     b = chi_matrix(pobs_of(raw))
     assert np.allclose(a.values, b.values[np.ix_(perm, perm)], atol=1e-12)
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (17, 5), (300, 40)])
+def test_chi_matrix_in_place_is_bit_identical_to_the_one_expression_form(k, d, rng):
+    pobs = random_pobs(rng, k, d)
+    nu = pobs.abs_diff_sums / (2.0 * k)
+    want = 2.0 - (0.5 + nu) / (0.5 - nu)
+    np.fill_diagonal(want, 1.0)
+    assert chi_matrix(pobs).values.tobytes() == want.tobytes()
+
+
+def test_chi_matrix_scratch_is_nu_and_one_denominator(rng):
+    k, d = 1000, 400
+    pobs = random_pobs(rng, k, d)
+    pobs.abs_diff_sums  # the input: the memoized pairwise sums
+    chi, peak = scratch_peak(chi_matrix, pobs)
+    assert chi.d == d
+    # nu (the output) and the denominator, plus the d x d masks of
+    # ChiMatrix's checks; the out-of-place expression held three d x d arrays
+    assert peak <= 8 * 2 * d * d + 2 * d * d
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Each numpy kernel against its plain-loop oracle."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailclust import ChiMatrix, kernels
+
+from conftest import scratch_peak
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +301,7 @@ def test_pairwise_takes_one_partner_per_tile_at_large_k(rng):
 @pytest.mark.parametrize("k, d", [(3333, 60), (1000, 400)])
 def test_pairwise_scratch_is_one_copy_one_tile_and_the_output(k, d, rng):
     u = rng.random((k, d))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        kernels.pairwise_abs_diff_sums(u)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = scratch_peak(kernels.pairwise_abs_diff_sums, u)
     # the transposed copy, one tile of partners and the d x d output, plus
     # what a broadcasting ufunc may buffer (at most numpy's buffer size)
     assert peak <= 8 * (k * d + kernels._PAIR_TILE + d * d + np.getbufsize())

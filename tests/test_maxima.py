@@ -1,7 +1,5 @@
 """Block maxima and pseudo-observations."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +17,7 @@ from tailclust import (
 
 from tailclust import maxima as maxima_module
 
-from conftest import pobs_of
+from conftest import pobs_of, scratch_peak
 
 
 def pseudo_obs_loops(x):
@@ -193,13 +191,6 @@ def test_pseudo_obs_scratch_stays_within_three_output_arrays(rng):
     # check's scaled copy and one slab's sort buffers fit in 3 k x d arrays
     k, d = 3333, 60
     maxima = MaximaMatrix(rng.random((k, d)), block_length=1, source_length=k)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        pobs = pseudo_obs(maxima)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    pobs, peak = scratch_peak(pseudo_obs, maxima)
     assert pobs.values.shape == (k, d)
     assert peak <= 3 * k * d * 8

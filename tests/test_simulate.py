@@ -1,6 +1,7 @@
 """Copula samplers, the repetition process, and experiment model layouts."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from tailclust import (
     sample_outer_power_clayton,
     sample_positive_stable,
 )
+from tailclust import simulate as simulate_module
+
+from conftest import scratch_peak
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +231,17 @@ def test_nested_model_validation():
         NestedModel(theta=1.0, beta0=1.0, group_betas=(1.5,), group_sizes=(0,))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["theta", "beta0", "group_betas"])
+def test_nested_model_rejects_a_non_finite_parameter_by_name(field, bad):
+    # nan fails no comparison-based check, and inf passes them all
+    params = dict(theta=1.0, beta0=1.0, group_betas=(1.5, 2.0), group_sizes=(2, 3))
+    params[field] = (1.5, bad) if field == "group_betas" else bad
+    name = "every group beta" if field == "group_betas" else field
+    with pytest.raises(InvalidParam, match=f"^{name} must be finite"):
+        NestedModel(**params)
+
+
 def test_nested_model_partition_is_contiguous():
     model = NestedModel(theta=1.0, beta0=1.0, group_betas=(2.0, 2.0), group_sizes=(4, 4))
     assert model.d == 8
@@ -344,6 +359,64 @@ def test_block_maxima_sampler_is_bit_identical_to_maxima_of_the_series(case):
     assert np.array_equal(got.values, expect.values)
     assert (got.block_length, got.source_length) == (expect.block_length, expect.source_length)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# _DRAW_CHUNK values, in float64 entries of the innovation buffer: every
+# chunk one block, a few blocks per chunk, and every group in one chunk
+_CHUNKS = {
+    "one-block": lambda m, widest: 1,
+    "few-blocks": lambda m, widest: 3 * m * widest,
+    "whole-draw": lambda m, widest: 1 << 30,
+}
+
+
+@pytest.mark.parametrize("chunk", sorted(_CHUNKS))
+@pytest.mark.parametrize("m", [1, 3, 7, 30])
+@pytest.mark.parametrize("p", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("experiment, d", [("E1", 6), ("E2", 12), ("E3", 14)])
+def test_block_maxima_in_chunks_are_the_maxima_of_the_series(experiment, d, p, m, chunk, monkeypatch):
+    # E3 has five one-column groups; n leaves a tail of m - 1 steps after the
+    # last whole block, whose innovations are drawn and dropped
+    n = 40 * m + m - 1
+    rng, twin = np.random.default_rng(m), np.random.default_rng(m)
+    model, _ = build_experiment_model(experiment, d, 10 / 7, rng)
+    build_experiment_model(experiment, d, 10 / 7, twin)
+    monkeypatch.setattr(simulate_module, "_DRAW_CHUNK", _CHUNKS[chunk](m, max(model.group_sizes)))
+    cfg = RepetitionConfig(p=p, n=n, model=model)
+    got = repetition_block_maxima(cfg, m, rng)
+    series = repetition_process(cfg, twin)
+    assert got.values.tobytes() == block_maxima(series, m).values.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    if p == 0.3:
+        # most blocks start on the innovation that ends the block before, so
+        # most chunk starts copy the previous chunk's last row
+        starts = np.arange(m, n - n % m, m)
+        assert (series.values[starts] == series.values[starts - 1]).all(axis=1).mean() > 0.5
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+def test_nested_in_row_chunks_is_the_per_group_sampler(chunk, monkeypatch):
+    monkeypatch.setattr(simulate_module, "_DRAW_CHUNK", chunk)
+    model = NestedModel(1.0, 1.0, (10 / 7, 2.0, 10 / 7), (3, 1, 5))
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_nested(model, 101, rng)
+    assert got.tobytes() == nested_direct(model, 101, twin).tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_block_maxima_scratch_is_the_output_one_chunk_and_o_of_n_vectors():
+    # an experiment_competitors replication: E3 at d = 100, k = 500
+    n, m = 10_000, 20
+    rng = np.random.default_rng(3)
+    model, _ = build_experiment_model("E3", 100, 10 / 7, rng)
+    cfg = RepetitionConfig(p=0.9, n=n, model=model)
+    maxima, peak = scratch_peak(repetition_block_maxima, cfg, m, rng)
+    assert maxima.values.shape == (n // m, 100)
+    # the k x d output, the innovation buffer, and ten length-n vectors: the
+    # steps, V0, V0^(beta_g/beta0), V_g and the stable sampler's four
+    # temporaries among them. Drawing each group's n x size innovations at
+    # once peaked near 6 MB.
+    assert peak <= 8 * ((n // m) * 100 + simulate_module._DRAW_CHUNK + 10 * n)
 
 
 @pytest.mark.parametrize("p", [0.4, 1.0])
