@@ -58,8 +58,8 @@ def eco_cluster(chi: ChiMatrix, tau: float) -> Partition:
 
 
 def _check_tau(tau: float) -> None:
-    """Reject a threshold that is negative or NaN."""
-    if not tau >= 0.0:
+    """Reject a threshold that is negative, infinite or NaN."""
+    if not 0.0 <= tau < np.inf:
         raise InvalidParam("tau must be a nonnegative real")
 
 

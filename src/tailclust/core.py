@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -537,12 +536,15 @@ def _in_worker(pool, fn, *args):
     when its result is asked for.
     """
     future = None
-    with contextlib.suppress(BrokenExecutor):
-        future = pool and pool.submit(fn, *args)
+    if pool:
+        # imported here: at module level it would slow `import tailclust`
+        from concurrent.futures import BrokenExecutor
+        with contextlib.suppress(BrokenExecutor):
+            future = pool.submit(fn, *args)
 
     def result():
-        with contextlib.suppress(BrokenExecutor):
-            if future:
+        if future:
+            with contextlib.suppress(BrokenExecutor):
                 return future.result()
         return fn(*args)
 

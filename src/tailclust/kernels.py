@@ -2,7 +2,7 @@
 
 pairwise_abs_diff_sums feeds the madogram chi matrix, one numpy reduction
 per tile of column a's partner columns b > a: its scratch is one
-transposed copy of the input and one tile of at most _PAIR_TILE entries,
+transposed copy of the input and one tile of at most _SCRATCH entries,
 whatever d is. subset_gap_sum feeds the SECO criterion; pair_order sorts
 the pairs of a chi matrix once, and eco_labels runs greedy ECO clustering
 (cluster.eco_cluster states the rule) for one threshold as a forward-only
@@ -26,9 +26,11 @@ __all__ = [
 
 # first window of the skip over dead pairs in eco_labels; doubles on a miss
 _SKIP_WINDOW = 32
-# float64 entries of the tile of partner columns that pairwise_abs_diff_sums
-# differences at once (512 KiB); a tile holds at least one partner
-_PAIR_TILE = 1 << 16
+# float64 entries of the working array of every bounded loop (512 KiB): a
+# tile of partner columns here, a slab of columns in maxima.pseudo_obs and a
+# chunk of blocks in simulate._frailty_ratios, each holding at least one
+# item. Read at call time, so patching it reaches all three.
+_SCRATCH = 1 << 16
 
 
 def pairwise_abs_diff_sums(u, lo=0, hi=None):
@@ -44,7 +46,7 @@ def pairwise_abs_diff_sums(u, lo=0, hi=None):
     out = np.zeros((d, d))
     # columns lo.. of u as contiguous rows, and one tile for a's partners
     ut = np.ascontiguousarray(u[:, lo:].T)
-    rows = max(1, _PAIR_TILE // k)
+    rows = max(1, _SCRATCH // k)
     tile = np.empty((min(rows, len(ut)), k))
     for a in range(lo, hi):
         j = a - lo

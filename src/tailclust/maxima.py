@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .core import InvalidParam, MaximaMatrix, PseudoObs, SeriesMatrix, _adopt, _check_block_length
 
 __all__ = ["block_maxima", "pseudo_obs"]
-
-# entries of the slab of columns that pseudo_obs ranks at once (512 KiB of
-# float64); a slab holds at least one column
-_RANK_CHUNK = 1 << 16
 
 
 def block_maxima(series: SeriesMatrix, m: int) -> MaximaMatrix:
@@ -43,10 +40,10 @@ def pseudo_obs(maxima: MaximaMatrix) -> PseudoObs:
     largest rank of their tie group and a tie-free column carries exactly
     {1/k, ..., 1}.
 
-    The columns are ranked a slab of at most _RANK_CHUNK entries at a time,
-    so the scratch stays bounded however wide the input is: one argsort
-    along axis 0, then each sorted position takes, in the sort buffer
-    itself, the rank of the end of its tie group, and the ranks are
+    The columns are ranked a slab of at most kernels._SCRATCH entries at a
+    time, so the scratch stays bounded however wide the input is: one
+    argsort along axis 0, then each sorted position takes, in the sort
+    buffer itself, the rank of the end of its tie group, and the ranks are
     scattered through the sort order into the one output array. The order
     inside a tie group does not matter, so the sort need not be stable.
     Ranks are exact integers, so the slab width cannot change a bit. The
@@ -61,7 +58,7 @@ def pseudo_obs(maxima: MaximaMatrix) -> PseudoObs:
     k, d = x.shape
     out = np.empty_like(x)
     positions = np.arange(1.0, k + 1.0)[:, None]
-    width = max(1, _RANK_CHUNK // k)
+    width = max(1, kernels._SCRATCH // k)
     for j in range(0, d, width):
         cols = x[:, j:j + width]
         order = np.argsort(cols, axis=0)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import (
     IncompatibleDimension,
     InvalidAlpha,
@@ -175,11 +176,6 @@ def sample_nested(model: NestedModel, n: int, rng: np.random.Generator) -> np.nd
     return out
 
 
-# float64 entries of the buffer that one group's innovations are drawn into
-# a chunk at a time (512 KiB); a chunk holds at least one whole block
-_DRAW_CHUNK = 1 << 16
-
-
 def _frailty_ratios(
     model: NestedModel, steps: np.ndarray, m: int, n: int, rng: np.random.Generator
 ):
@@ -193,8 +189,8 @@ def _frailty_ratios(
     come in chunks: the yielded block slice names them, and row i of x is
     innovation steps[blocks.start * m] + i, up to steps[blocks.stop * m - 1].
 
-    x is a view of one buffer of at most _DRAW_CHUNK entries (or of one
-    block, if that is larger), which the next chunk overwrites. The
+    x is a view of one buffer of at most kernels._SCRATCH entries (or of
+    one block, if that is larger), which the next chunk overwrites. The
     exponentials are drawn into it with standard_exponential(out=...) in
     the C order of one n x size draw, so the bits and the generator state
     are those of that draw: the same as rng.exponential(1.0, ...), whose
@@ -208,7 +204,7 @@ def _frailty_ratios(
     v0 = rng.gamma(1.0 / theta, 1.0, size=n) ** beta0
     v0 *= sample_positive_stable(1.0 / beta0, rng, size=n)
     k = len(steps) // m
-    per_chunk = [max(1, _DRAW_CHUNK // (m * size)) for size in model.group_sizes]
+    per_chunk = [max(1, kernels._SCRATCH // (m * size)) for size in model.group_sizes]
     flat = np.empty(max(min(b * m, n) * size for b, size in zip(per_chunk, model.group_sizes)))
     powers = {}  # V0^(beta_g/beta0) per distinct exponent; groups often share one
     start = 0
@@ -272,17 +268,15 @@ def repetition_process(cfg: RepetitionConfig, rng: np.random.Generator) -> Serie
 
     Row 0 is a fresh model draw; row t repeats row t-1 with probability
     1 - p and refreshes otherwise. Implementation draws the n-1 refresh
-    indicators first, then all needed innovations in one batch, and expands
-    by cumulative indexing. margins='frechet' maps u to -1/log(u).
+    indicators first, then all needed innovations in one batch, expands by
+    cumulative indexing and hands the result over without a copy (_adopt).
+    margins='frechet' maps u to -1/log(u).
     """
     rows = _refresh_rows(cfg, rng)
-    if rows is None:
-        vals = sample_nested(cfg.model, cfg.n, rng)
-    else:
-        vals = sample_nested(cfg.model, int(rows[-1]) + 1, rng)[rows]
+    vals = sample_nested(cfg.model, int(rows[-1]) + 1, rng)[rows]
     if cfg.margins == "frechet":
         vals = _frechet(vals)
-    return SeriesMatrix(vals)
+    return _adopt(SeriesMatrix, vals)
 
 
 def repetition_block_maxima(
@@ -305,8 +299,6 @@ def repetition_block_maxima(
     _check_block_length(m, n)
     k = n // m
     rows = _refresh_rows(cfg, rng)
-    if rows is None:  # every step draws its own innovation
-        rows = np.arange(n)
     # step t of the series is innovation rows[t]; block b is steps b*m .. (b+1)*m - 1
     steps = rows[: k * m]
     out = np.empty((k, cfg.model.d))
@@ -334,13 +326,14 @@ def _block_minima(x: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:
     return mn
 
 
-def _refresh_rows(cfg: RepetitionConfig, rng: np.random.Generator) -> np.ndarray | None:
-    """Innovation index of each of the n steps, or None if every step is fresh.
+def _refresh_rows(cfg: RepetitionConfig, rng: np.random.Generator) -> np.ndarray:
+    """Innovation index of each of the n steps: arange(n) when every step is fresh.
 
-    Draws the n - 1 refresh indicators; p = 1 or n = 1 draws nothing.
+    Draws the n - 1 refresh indicators. p = 1 draws nothing, and at n = 1
+    rng.random(0) leaves the generator state as it was.
     """
-    if cfg.p >= 1.0 or cfg.n == 1:
-        return None
+    if cfg.p >= 1.0:
+        return np.arange(cfg.n)
     fresh = rng.random(cfg.n - 1) < cfg.p
     return np.concatenate([[0], np.cumsum(fresh)])
 

@@ -209,7 +209,7 @@ def test_cluster_rejects_grid_flags_before_reading_the_input(flags, message, mon
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("tau", ["-1", "nan", "-inf", "-0.2"])
+@pytest.mark.parametrize("tau", ["-1", "nan", "-inf", "-0.2", "inf"])
 def test_cluster_rejects_tau_before_reading_the_input(tau, monkeypatch, capsys):
     def read_maxima(path, m, *pool, **private):
         raise AssertionError(f"{path} was read before tau was checked")

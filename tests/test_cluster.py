@@ -113,6 +113,9 @@ def test_tau_validation():
         eco_cluster(chi, -0.1)
     with pytest.raises(InvalidParam):
         eco_cluster(chi, float("nan"))
+    # every seed test chi <= inf would pass, leaving every variable alone
+    with pytest.raises(InvalidParam, match="^tau must be a nonnegative real$"):
+        eco_cluster(chi, float("inf"))
     # one block: every chi is exactly 1, so any tau would merge everything
     with pytest.raises(InvalidParam):
         eco_cluster(chi_of(np.ones((3, 3)), k=1), 0.5)

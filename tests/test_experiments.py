@@ -288,15 +288,15 @@ def test_run_experiment_runs_a_dead_workers_replications_itself(monkeypatch, tmp
 
 
 def test_import_loads_no_process_machinery(tmp_path):
-    # the process pool is imported only when a run asks for workers: not by
-    # the import, nor by cluster on a file too small to fork for, nor by a
-    # one-thread experiment
+    # the process pool, and the executors and logging that it pulls in, are
+    # imported only when a run asks for workers: not by the import, nor by
+    # cluster on a file too small to fork for, nor by a one-thread experiment
     csv = tmp_path / "small.csv"
     rows = np.random.default_rng(3).random((200, 3)).tolist()
     csv.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
     cluster = ["cluster", "--input", str(csv), "--block-size", "10", "--auto-tau",
                "--out-partition", str(tmp_path / "part.json")]
-    loaded = "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]); "
+    loaded = "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging') if m in sys.modules]); "
     code = (
         "import sys, tailclust, tailclust.cli; " + loaded
         + f"assert tailclust.cli.main({cluster!r}) == 0; " + loaded

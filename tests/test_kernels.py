@@ -277,7 +277,7 @@ def test_pairwise_in_tiles_matches_per_pair_sums_at_every_row_range(rows, rng, m
     # counts, and one tile for all; every range start c lands on or off a
     # tile edge
     k, d = 37, 11
-    monkeypatch.setattr(kernels, "_PAIR_TILE", rows * k)
+    monkeypatch.setattr(kernels, "_SCRATCH", rows * k)
     u = rng.random((k, d))
     whole = pairwise_pair_sums(u)
     assert np.array_equal(kernels.pairwise_abs_diff_sums(u), whole)
@@ -293,7 +293,7 @@ def test_pairwise_in_tiles_matches_per_pair_sums_at_every_row_range(rows, rng, m
 
 
 def test_pairwise_takes_one_partner_per_tile_at_large_k(rng):
-    k = kernels._PAIR_TILE + 5
+    k = kernels._SCRATCH + 5
     u = rng.random((k, 3))
     assert np.array_equal(kernels.pairwise_abs_diff_sums(u), pairwise_pair_sums(u))
 
@@ -304,4 +304,4 @@ def test_pairwise_scratch_is_one_copy_one_tile_and_the_output(k, d, rng):
     _, peak = scratch_peak(kernels.pairwise_abs_diff_sums, u)
     # the transposed copy, one tile of partners and the d x d output, plus
     # what a broadcasting ufunc may buffer (at most numpy's buffer size)
-    assert peak <= 8 * (k * d + kernels._PAIR_TILE + d * d + np.getbufsize())
+    assert peak <= 8 * (k * d + kernels._SCRATCH + d * d + np.getbufsize())

@@ -15,7 +15,7 @@ from tailclust import (
     pseudo_obs,
 )
 
-from tailclust import maxima as maxima_module
+from tailclust import kernels
 
 from conftest import pobs_of, scratch_peak
 
@@ -162,7 +162,7 @@ def test_pseudo_obs_in_column_slabs_matches_the_oracle_bit_for_bit(width, rng, m
     # slabs of one column, widths that do and do not divide d = 10, and one
     # slab for all; tie groups in every slab
     k, d = 40, 10
-    monkeypatch.setattr(maxima_module, "_RANK_CHUNK", width * k)
+    monkeypatch.setattr(kernels, "_SCRATCH", width * k)
     x = _tied_columns(rng, k, d)
     x[:, ::4] = rng.random((k, 3))  # tie-free columns among them
     got = pseudo_obs(MaximaMatrix(x, block_length=1, source_length=k)).values
@@ -172,7 +172,7 @@ def test_pseudo_obs_in_column_slabs_matches_the_oracle_bit_for_bit(width, rng, m
 @pytest.mark.parametrize("width", [1, 3, 4, 10])
 def test_pseudo_obs_names_the_lowest_constant_column_whatever_the_slab(width, rng, monkeypatch):
     k, d = 30, 10
-    monkeypatch.setattr(maxima_module, "_RANK_CHUNK", width * k)
+    monkeypatch.setattr(kernels, "_SCRATCH", width * k)
     x = _tied_columns(rng, k, d)
     x[:, [5, 8, 9]] = 2.0
     with pytest.raises(InvalidParam, match="^column 5 "):
@@ -180,7 +180,7 @@ def test_pseudo_obs_names_the_lowest_constant_column_whatever_the_slab(width, rn
 
 
 def test_pseudo_obs_ranks_one_column_per_slab_at_large_k(rng):
-    k = maxima_module._RANK_CHUNK + 3
+    k = kernels._SCRATCH + 3
     x = np.column_stack([rng.random(k), rng.integers(0, 50, k), rng.integers(0, 2, k)]).astype(float)
     got = pseudo_obs(MaximaMatrix(x, block_length=1, source_length=k)).values
     assert np.array_equal(got, pseudo_obs_loops(x))

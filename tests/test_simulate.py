@@ -15,6 +15,7 @@ from tailclust import (
     InvalidParam,
     NestedModel,
     RepetitionConfig,
+    SeriesMatrix,
     TailclustError,
     block_maxima,
     build_experiment_model,
@@ -25,6 +26,7 @@ from tailclust import (
     sample_outer_power_clayton,
     sample_positive_stable,
 )
+from tailclust import kernels
 from tailclust import simulate as simulate_module
 
 from conftest import scratch_peak
@@ -306,6 +308,38 @@ def test_repetition_frechet_margins_transform():
     assert np.allclose(fre.values, -1.0 / np.log(uni.values), atol=1e-12)
 
 
+@pytest.mark.parametrize("p, n", [(1.0, 50), (1.0, 1), (0.4, 1)])
+def test_refresh_rows_that_draw_nothing_are_every_step_fresh(p, n):
+    # p = 1 draws no indicator, and at n = 1 there are none to draw
+    rng = np.random.default_rng(27)
+    before = rng.bit_generator.state
+    rows = simulate_module._refresh_rows(RepetitionConfig(p=p, n=n, model=_tiny_model()), rng)
+    assert rows.tolist() == list(range(n))
+    assert rng.bit_generator.state == before
+
+
+def test_repetition_process_at_p_one_is_the_nested_sampler():
+    model = NestedModel(1.0, 1.0, (10 / 7, 2.0), (3, 2))
+    rng, twin = np.random.default_rng(28), np.random.default_rng(28)
+    series = repetition_process(RepetitionConfig(p=1.0, n=300, model=model), rng)
+    assert series.values.tobytes() == sample_nested(model, 300, twin).tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("margins", ["uniform", "frechet"])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_repetition_process_holds_the_very_array_it_gathered_read_only(p, margins, monkeypatch):
+    handed = []
+    check = SeriesMatrix.__post_init__
+    monkeypatch.setattr(SeriesMatrix, "__post_init__", lambda self: handed.append(self.values) or check(self))
+    cfg = RepetitionConfig(p=p, n=60, model=_tiny_model(), margins=margins)
+    series = repetition_process(cfg, np.random.default_rng(29))
+    assert len(handed) == 1  # the checks ran once
+    assert series.values is handed[0] and not handed[0].flags.writeable
+    with pytest.raises(ValueError):
+        handed[0][0, 0] = 0.5
+
+
 def test_repetition_config_validation():
     model = _tiny_model()
     for p in (0.0, -0.1, 1.5):
@@ -361,7 +395,7 @@ def test_block_maxima_sampler_is_bit_identical_to_maxima_of_the_series(case):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-# _DRAW_CHUNK values, in float64 entries of the innovation buffer: every
+# kernels._SCRATCH values, in float64 entries of the innovation buffer: every
 # chunk one block, a few blocks per chunk, and every group in one chunk
 _CHUNKS = {
     "one-block": lambda m, widest: 1,
@@ -381,7 +415,7 @@ def test_block_maxima_in_chunks_are_the_maxima_of_the_series(experiment, d, p, m
     rng, twin = np.random.default_rng(m), np.random.default_rng(m)
     model, _ = build_experiment_model(experiment, d, 10 / 7, rng)
     build_experiment_model(experiment, d, 10 / 7, twin)
-    monkeypatch.setattr(simulate_module, "_DRAW_CHUNK", _CHUNKS[chunk](m, max(model.group_sizes)))
+    monkeypatch.setattr(kernels, "_SCRATCH", _CHUNKS[chunk](m, max(model.group_sizes)))
     cfg = RepetitionConfig(p=p, n=n, model=model)
     got = repetition_block_maxima(cfg, m, rng)
     series = repetition_process(cfg, twin)
@@ -396,7 +430,7 @@ def test_block_maxima_in_chunks_are_the_maxima_of_the_series(experiment, d, p, m
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
 def test_nested_in_row_chunks_is_the_per_group_sampler(chunk, monkeypatch):
-    monkeypatch.setattr(simulate_module, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "_SCRATCH", chunk)
     model = NestedModel(1.0, 1.0, (10 / 7, 2.0, 10 / 7), (3, 1, 5))
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
     got = sample_nested(model, 101, rng)
@@ -416,7 +450,7 @@ def test_block_maxima_scratch_is_the_output_one_chunk_and_o_of_n_vectors():
     # steps, V0, V0^(beta_g/beta0), V_g and the stable sampler's four
     # temporaries among them. Drawing each group's n x size innovations at
     # once peaked near 6 MB.
-    assert peak <= 8 * ((n // m) * 100 + simulate_module._DRAW_CHUNK + 10 * n)
+    assert peak <= 8 * ((n // m) * 100 + kernels._SCRATCH + 10 * n)
 
 
 @pytest.mark.parametrize("p", [0.4, 1.0])
