@@ -28,7 +28,7 @@ from .core import (
     TailclustError,
     _adopt,
     _check_block_length,
-    _csv_matrix,
+    _csv_pieces,
     _fmt,
     _fork_is_safe,
     _in_worker,
@@ -286,7 +286,8 @@ def cmd_simulate(args) -> int:
     try:
         series = repetition_process(cfg, rng)
         names = series.names
-        _write(args.out, _csv_matrix(names, series.values))
+        with open(args.out, "w") as fh:
+            fh.writelines(_csv_pieces(names, series.values))
         meta = {
             "experiment": args.experiment,
             "d": args.d,

@@ -13,7 +13,7 @@ import contextlib
 import json
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -433,13 +433,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_matrix(names: Sequence[str], values: np.ndarray) -> str:
-    """A header of names, then one row of _fmt cells per row of a 2-D array."""
+def _csv_pieces(names: Sequence[str], values: np.ndarray) -> Iterator[str]:
+    """A header of names, then one row of _fmt cells per row of a 2-D array.
+
+    Yields the header line, then the rows in slabs of at most
+    kernels._SCRATCH cells (at least one row each), every line ending in a
+    newline: the text held at once is one slab's, whatever the array's size.
+    """
     # one % per row; each cell formats exactly as _fmt does
-    row_fmt = ",".join(["%.17g"] * len(names))
-    lines = [",".join(names)]
-    lines.extend(row_fmt % tuple(row) for row in values.tolist())
-    return "\n".join(lines) + "\n"
+    row_fmt = ",".join(["%.17g"] * len(names)) + "\n"
+    yield ",".join(names) + "\n"
+    rows = max(1, kernels._SCRATCH // values.shape[1])
+    for lo in range(0, len(values), rows):
+        yield "".join(row_fmt % tuple(row) for row in values[lo : lo + rows].tolist())
 
 
 def partition_to_json(partition: Partition, names: Sequence[str]) -> str:

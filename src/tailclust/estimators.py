@@ -30,7 +30,7 @@ from .core import (
     PseudoObs,
     _adopt,
     _check_blocks,
-    _csv_matrix,
+    _csv_pieces,
 )
 
 __all__ = [
@@ -197,4 +197,4 @@ def chi_to_csv(chi: ChiMatrix, names: Sequence[str], clip: bool = False) -> str:
     vals = chi.values
     if clip:
         vals = np.clip(vals, 0.0, 1.0)
-    return _csv_matrix(names, vals)
+    return "".join(_csv_pieces(names, vals))

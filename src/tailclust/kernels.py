@@ -27,9 +27,10 @@ __all__ = [
 # first window of the skip over dead pairs in eco_labels; doubles on a miss
 _SKIP_WINDOW = 32
 # float64 entries of the working array of every bounded loop (512 KiB): a
-# tile of partner columns here, a slab of columns in maxima.pseudo_obs and a
-# chunk of blocks in simulate._frailty_ratios, each holding at least one
-# item. Read at call time, so patching it reaches all three.
+# tile of partner columns here, a slab of columns in maxima.pseudo_obs, a
+# chunk of blocks in simulate._draw_maxima and a slab of CSV rows in
+# core._csv_pieces, each holding at least one item. Read at call time, so
+# patching it reaches all four.
 _SCRATCH = 1 << 16
 
 

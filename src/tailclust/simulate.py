@@ -164,73 +164,13 @@ def sample_nested(model: NestedModel, n: int, rng: np.random.Generator) -> np.nd
     Global frailty V0 = Gamma^beta0 * S0; group g reuses it as
     V_g = V0^(beta_g/beta0) * S_g with S_g ~ stable(beta0/beta_g), which
     degenerates to V_g = V0 when beta_g = beta0. Cross-group pairs follow
-    the outer copula, within-group pairs the group copula. Each group's
-    margins are mapped one row chunk at a time and written straight into
-    the output, so the scratch beyond it is one chunk and O(n) frailties.
+    the outer copula, within-group pairs the group copula. The draws are the
+    repetition process at p = 1, whose every step is fresh, taken as its own
+    block maxima at m = 1 (_draw_maxima).
     """
     if n < 1:
         raise InvalidParam("n must be positive")
-    out = np.empty((n, model.d))
-    for beta_g, cols, rows, x in _frailty_ratios(model, np.arange(n), 1, n, rng):
-        out[rows, cols] = _clayton_margin(x, beta_g, model.theta)
-    return out
-
-
-def _frailty_ratios(
-    model: NestedModel, steps: np.ndarray, m: int, n: int, rng: np.random.Generator
-):
-    """Yield (beta_g, column slice, block slice, E / V_g) per chunk of whole blocks.
-
-    Every draw of the nested model is made here, in generator order, so
-    sample_nested and repetition_block_maxima consume the generator
-    identically. The model is drawn at n innovations. Step t is innovation
-    steps[t] (steps[0] = 0, each next step the same innovation or the next
-    one) and block b is steps b*m .. (b+1)*m - 1. Group by group, the blocks
-    come in chunks: the yielded block slice names them, and row i of x is
-    innovation steps[blocks.start * m] + i, up to steps[blocks.stop * m - 1].
-
-    x is a view of one buffer of at most kernels._SCRATCH entries (or of
-    one block, if that is larger), which the next chunk overwrites. The
-    exponentials are drawn into it with standard_exponential(out=...) in
-    the C order of one n x size draw, so the bits and the generator state
-    are those of that draw: the same as rng.exponential(1.0, ...), whose
-    only extra work is an exact multiply by the unit scale. When a chunk
-    starts on the previous chunk's last innovation, that row of x is copied
-    to its top, so a caller that writes into x must not have such steps.
-    The innovations after the last whole block are drawn and dropped. The
-    caller must exhaust the iterator before drawing anything else.
-    """
-    theta, beta0 = model.theta, model.beta0
-    v0 = rng.gamma(1.0 / theta, 1.0, size=n) ** beta0
-    v0 *= sample_positive_stable(1.0 / beta0, rng, size=n)
-    k = len(steps) // m
-    per_chunk = [max(1, kernels._SCRATCH // (m * size)) for size in model.group_sizes]
-    flat = np.empty(max(min(b * m, n) * size for b, size in zip(per_chunk, model.group_sizes)))
-    powers = {}  # V0^(beta_g/beta0) per distinct exponent; groups often share one
-    start = 0
-    for beta_g, size, per in zip(model.group_betas, model.group_sizes, per_chunk):
-        v_g = sample_positive_stable(beta0 / beta_g, rng, size=n)
-        r = beta_g / beta0
-        if r not in powers:
-            powers[r] = v0**r
-        v_g *= powers[r]
-        cols = slice(start, start + size)
-        buf = flat[: min(per * m, n) * size].reshape(-1, size)
-        lo = drawn = 0  # innovation in buf's first row, innovations drawn so far
-        for b0 in range(0, k, per):
-            blocks = slice(b0, min(b0 + per, k))
-            if steps[b0 * m] < drawn:  # starts on the last row drawn
-                buf[0] = buf[drawn - 1 - lo]
-            lo = int(steps[b0 * m])
-            x = buf[: int(steps[blocks.stop * m - 1]) + 1 - lo]
-            fresh = x[drawn - lo :]
-            rng.standard_exponential(out=fresh)
-            fresh /= v_g[drawn : lo + len(x), None]
-            drawn = lo + len(x)
-            yield beta_g, cols, blocks, x
-        if drawn < n:
-            rng.standard_exponential(out=buf[: n - drawn])
-        start += size
+    return _draw_maxima(RepetitionConfig(1.0, n, model), 1, rng)
 
 
 def _clayton_margin(x: np.ndarray, beta: float, theta: float) -> np.ndarray:
@@ -267,16 +207,11 @@ def repetition_process(cfg: RepetitionConfig, rng: np.random.Generator) -> Serie
     """Sample the phi-mixing repetition process as a SeriesMatrix.
 
     Row 0 is a fresh model draw; row t repeats row t-1 with probability
-    1 - p and refreshes otherwise. Implementation draws the n-1 refresh
-    indicators first, then all needed innovations in one batch, expands by
-    cumulative indexing and hands the result over without a copy (_adopt).
-    margins='frechet' maps u to -1/log(u).
+    1 - p and refreshes otherwise. A block of length 1 is one step, so the
+    series is its own block maxima at m = 1 (_draw_maxima), handed over
+    without a copy (_adopt). margins='frechet' maps u to -1/log(u).
     """
-    rows = _refresh_rows(cfg, rng)
-    vals = sample_nested(cfg.model, int(rows[-1]) + 1, rng)[rows]
-    if cfg.margins == "frechet":
-        vals = _frechet(vals)
-    return _adopt(SeriesMatrix, vals)
+    return _adopt(SeriesMatrix, _draw_maxima(cfg, 1, rng))
 
 
 def repetition_block_maxima(
@@ -284,32 +219,78 @@ def repetition_block_maxima(
 ) -> MaximaMatrix:
     """block_maxima(repetition_process(cfg, rng), m) without the n x d series.
 
-    Same generator calls in the same order, same bits out. The series is
-    never built: per group, each block's minimum of X = E / V_g is taken
-    over the innovations the block covers, and the margin map is applied to
-    the minima only. u = (1 + x^(1/beta_g))^(-1/theta) is decreasing in x,
-    so the largest u of a block is the map of its smallest x; the Frechet
-    map -1/log(u) is increasing, so it commutes with the maximum. Both hold
-    bit for bit as long as the floating-point maps are monotone as well,
-    which the property tests check. The innovations are drawn in chunks of
-    whole blocks into one reused buffer (_frailty_ratios), so the scratch
-    is one chunk and O(n) vectors, whatever n x d.
+    Same generator calls in the same order, same bits out (_draw_maxima).
     """
-    n = cfg.n
-    _check_block_length(m, n)
-    k = n // m
+    _check_block_length(m, cfg.n)
+    return _adopt(MaximaMatrix, _draw_maxima(cfg, m, rng), block_length=m, source_length=cfg.n)
+
+
+def _draw_maxima(cfg: RepetitionConfig, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The k = n // m block maxima of the repetition process, a k x d array.
+
+    Every draw of the model is made here, in this order: the n - 1 refresh
+    indicators (_refresh_rows), then V0 at the n' innovations the steps
+    use, then per group V_g and its n' x size exponentials. Step t is
+    innovation rows[t] and block b is steps b*m .. (b+1)*m - 1.
+
+    The series is never built: per group, each block's minimum of
+    X = E / V_g is taken over the innovations the block covers, and the
+    margin map is applied to the minima only. u = (1 + x^(1/beta_g))^(-1/theta)
+    is decreasing in x, so the largest u of a block is the map of its
+    smallest x; the Frechet map -1/log(u) is increasing, so it commutes
+    with the maximum. Both hold bit for bit as long as the floating-point
+    maps are monotone as well, which the property tests check.
+
+    Group by group, the blocks come in chunks whose innovations fill one
+    reused buffer of at most kernels._SCRATCH entries (or one block, if
+    that is larger), so the scratch is one chunk and O(n) vectors. The
+    exponentials are drawn into it with standard_exponential(out=...) in
+    the C order of one n' x size draw, so the bits and the generator state
+    are those of that draw: the same as rng.exponential(1.0, ...), whose
+    only extra work is an exact multiply by the unit scale. When a chunk
+    starts on the previous chunk's last innovation, that row is copied to
+    the buffer's top. The innovations after the last whole block are drawn
+    and dropped.
+    """
+    model, theta, beta0 = cfg.model, cfg.model.theta, cfg.model.beta0
     rows = _refresh_rows(cfg, rng)
-    # step t of the series is innovation rows[t]; block b is steps b*m .. (b+1)*m - 1
+    k = cfg.n // m
     steps = rows[: k * m]
-    out = np.empty((k, cfg.model.d))
-    for beta_g, cols, blocks, x in _frailty_ratios(cfg.model, steps, m, int(rows[-1]) + 1, rng):
-        at = steps[blocks.start * m : blocks.stop * m]
-        out[blocks, cols] = _clayton_margin(
-            _block_minima(x, at - at[0], m), beta_g, cfg.model.theta
-        )
+    n = int(rows[-1]) + 1  # n', the innovations the steps use
+    v0 = rng.gamma(1.0 / theta, 1.0, size=n) ** beta0
+    v0 *= sample_positive_stable(1.0 / beta0, rng, size=n)
+    per_chunk = [max(1, kernels._SCRATCH // (m * size)) for size in model.group_sizes]
+    flat = np.empty(max(min(b * m, n) * size for b, size in zip(per_chunk, model.group_sizes)))
+    out = np.empty((k, model.d))
+    powers = {}  # V0^(beta_g/beta0) per distinct exponent; groups often share one
+    start = 0
+    for beta_g, size, per in zip(model.group_betas, model.group_sizes, per_chunk):
+        v_g = sample_positive_stable(beta0 / beta_g, rng, size=n)
+        r = beta_g / beta0
+        if r not in powers:
+            powers[r] = v0**r
+        v_g *= powers[r]
+        cols = slice(start, start + size)
+        buf = flat[: min(per * m, n) * size].reshape(-1, size)
+        lo = drawn = 0  # innovation in buf's first row, innovations drawn so far
+        for b0 in range(0, k, per):
+            b1 = min(b0 + per, k)
+            at = steps[b0 * m : b1 * m]
+            if at[0] < drawn:  # starts on the last row drawn
+                buf[0] = buf[drawn - 1 - lo]
+            lo = int(at[0])
+            x = buf[: int(at[-1]) + 1 - lo]
+            fresh = x[drawn - lo :]
+            rng.standard_exponential(out=fresh)
+            fresh /= v_g[drawn : lo + len(x), None]
+            drawn = lo + len(x)
+            out[b0:b1, cols] = _clayton_margin(_block_minima(x, at - lo, m), beta_g, theta)
+        if drawn < n:
+            rng.standard_exponential(out=buf[: n - drawn])
+        start += size
     if cfg.margins == "frechet":
         out = _frechet(out)
-    return _adopt(MaximaMatrix, out, block_length=m, source_length=n)
+    return out
 
 
 def _block_minima(x: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:

@@ -11,11 +11,20 @@ import warnings
 import numpy as np
 import pytest
 
-from tailclust import SeriesMatrix, block_maxima, cli, kernels, tau_theory
+from tailclust import (
+    RepetitionConfig,
+    SeriesMatrix,
+    block_maxima,
+    build_experiment_model,
+    cli,
+    kernels,
+    repetition_process,
+    tau_theory,
+)
 from tailclust.cli import main
 from tailclust.estimators import chi_to_csv
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, scratch_peak
 
 
 def write_csv(path, values, names):
@@ -759,6 +768,41 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
         ]
         assert main(argv) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("scratch", [1, 7, 1 << 30])
+@pytest.mark.parametrize("experiment, d", [("E1", 2), ("E2", 12)])
+def test_simulate_csv_is_the_per_cell_format_in_any_slab_size(experiment, d, scratch, tmp_path, monkeypatch):
+    # slabs of one row, of three rows at d = 2 with a shorter last one, and
+    # the whole series in one slab
+    monkeypatch.setattr(kernels, "_SCRATCH", scratch)
+    out = tmp_path / "draw.csv"
+    argv = [
+        "simulate", "--experiment", experiment, "--d", str(d), "--n", "50",
+        "--p", "0.9", "--seed", "4", "--margins", "frechet", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    rng = np.random.default_rng(4)
+    model, _ = build_experiment_model(experiment, d, 10 / 7, rng)
+    series = repetition_process(RepetitionConfig(0.9, 50, model, "frechet"), rng)
+    expect = tmp_path / "expect.csv"
+    write_csv(expect, series.values, series.names)
+    assert out.read_bytes() == expect.read_bytes()
+
+
+def test_simulate_holds_one_slab_of_text_not_the_whole_csv(tmp_path):
+    n, d = 50_000, 10
+    argv = [
+        "simulate", "--experiment", "E1", "--d", str(d), "--n", str(n),
+        "--p", "0.9", "--seed", "3", "--out", str(tmp_path / "draw.csv"),
+    ]
+    code, peak = scratch_peak(main, argv)
+    assert code == 0
+    # the n x d series, the sampler's chunk and ten length-n vectors, and one
+    # slab of at most _SCRATCH cells at under 100 bytes a cell: its floats,
+    # row strings, joined text and encoded bytes. Holding the whole 10 MB
+    # text at once peaked near 38 MB.
+    assert peak <= 8 * (n * d + kernels._SCRATCH + 10 * n) + 100 * kernels._SCRATCH
 
 
 def test_simulate_flag_errors(tmp_path, capsys):

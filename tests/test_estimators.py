@@ -17,6 +17,7 @@ from tailclust import (
     chi_matrix,
     chi_to_csv,
     extremal_coefficient,
+    kernels,
     madogram,
     meco,
     seco,
@@ -299,16 +300,19 @@ def test_chi_to_csv_round_trip(rng):
     assert np.array_equal(parsed, chi.values)  # 17 digits reproduce doubles exactly
 
 
-def test_chi_to_csv_matches_per_cell_format(rng):
-    # negative, tiny and round values, with and without clipping
-    for k, d in ((3, 4), (12, 9), (200, 30)):
-        chi = chi_matrix(random_pobs(rng, k, d))
-        names = tuple(f"c{j}" for j in range(d))
+def test_chi_to_csv_matches_per_cell_format(rng, monkeypatch):
+    # negative, tiny and round values, with and without clipping, the rows
+    # formatted one at a time, two at a time at d = 3, and all at once
+    for scratch in (1, 7, 1 << 30):
+        monkeypatch.setattr(kernels, "_SCRATCH", scratch)
+        for k, d in ((3, 4), (12, 9), (200, 30)):
+            chi = chi_matrix(random_pobs(rng, k, d))
+            names = tuple(f"c{j}" for j in range(d))
+            for clip in (False, True):
+                assert chi_to_csv(chi, names, clip) == chi_to_csv_per_cell(chi, names, clip)
+        odd = ChiMatrix(np.array([[1.0, 1e-300, -0.5], [1e-300, 1.0, 0.1], [-0.5, 0.1, 1.0]]), k=10)
         for clip in (False, True):
-            assert chi_to_csv(chi, names, clip) == chi_to_csv_per_cell(chi, names, clip)
-    odd = ChiMatrix(np.array([[1.0, 1e-300, -0.5], [1e-300, 1.0, 0.1], [-0.5, 0.1, 1.0]]), k=10)
-    for clip in (False, True):
-        assert chi_to_csv(odd, "abc", clip) == chi_to_csv_per_cell(odd, "abc", clip)
+            assert chi_to_csv(odd, "abc", clip) == chi_to_csv_per_cell(odd, "abc", clip)
 
 
 def test_chi_to_csv_clip():

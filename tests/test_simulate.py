@@ -1,5 +1,6 @@
 """Copula samplers, the repetition process, and experiment model layouts."""
 
+import copy
 import dataclasses
 import math
 
@@ -152,9 +153,11 @@ def test_nested_degenerates_to_outer_power_clayton():
     # unit constant drawn without touching the generator, so the nested
     # sampler consumes the exact same stream as the flat sampler
     model = NestedModel(theta=1.0, beta0=2.0, group_betas=(2.0,), group_sizes=(4,))
-    a = sample_nested(model, 300, np.random.default_rng(9))
-    b = sample_outer_power_clayton(1.0, 2.0, 4, 300, np.random.default_rng(9))
-    assert np.array_equal(a, b)
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    a = sample_nested(model, 300, rng)
+    b = outer_power_clayton_direct(1.0, 2.0, 4, 300, oracle_rng)
+    assert a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def outer_power_clayton_direct(theta, beta, dim, n, rng):
@@ -318,14 +321,6 @@ def test_refresh_rows_that_draw_nothing_are_every_step_fresh(p, n):
     assert rng.bit_generator.state == before
 
 
-def test_repetition_process_at_p_one_is_the_nested_sampler():
-    model = NestedModel(1.0, 1.0, (10 / 7, 2.0), (3, 2))
-    rng, twin = np.random.default_rng(28), np.random.default_rng(28)
-    series = repetition_process(RepetitionConfig(p=1.0, n=300, model=model), rng)
-    assert series.values.tobytes() == sample_nested(model, 300, twin).tobytes()
-    assert rng.bit_generator.state == twin.bit_generator.state
-
-
 @pytest.mark.parametrize("margins", ["uniform", "frechet"])
 @pytest.mark.parametrize("p", [0.5, 1.0])
 def test_repetition_process_holds_the_very_array_it_gathered_read_only(p, margins, monkeypatch):
@@ -402,6 +397,56 @@ _CHUNKS = {
     "few-blocks": lambda m, widest: 3 * m * widest,
     "whole-draw": lambda m, widest: 1 << 30,
 }
+
+
+def repetition_direct(cfg, rng):
+    """The repetition process drawn the plain way, as an n x d array.
+
+    The refresh rows first (none drawn at p = 1, as _refresh_rows does),
+    then every innovation at once with nested_direct, then one gather: no
+    chunks and no block minima.
+    """
+    if cfg.p < 1.0:
+        rows = np.concatenate([[0], np.cumsum(rng.random(cfg.n - 1) < cfg.p)])
+    else:
+        rows = np.arange(cfg.n)
+    u = nested_direct(cfg.model, int(rows[-1]) + 1, rng)[rows]
+    if cfg.margins == "frechet":
+        u = -1.0 / np.log(np.minimum(u, np.nextafter(1.0, 0.0)))
+    return u
+
+
+# n = 70,001 crosses the default bound's chunk boundary even for a
+# one-column group; one-block chunks there would take minutes
+@pytest.mark.parametrize(
+    "n, chunk",
+    [(n, chunk) for n in (1, 97) for chunk in sorted(_CHUNKS)]
+    + [(70_001, "whole-draw"), (70_001, "default")],
+)
+@pytest.mark.parametrize("margins", ["uniform", "frechet"])
+@pytest.mark.parametrize("p", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("experiment, d", [("E1", 6), ("E2", 12), ("E3", 14)])
+def test_the_samplers_are_the_nested_model_drawn_at_the_innovations(
+    experiment, d, p, margins, n, chunk, monkeypatch
+):
+    # the series (m = 1), and block maxima whose last block leaves a tail of
+    # steps whose innovations are drawn and dropped
+    rng = np.random.default_rng(n)
+    model, _ = build_experiment_model(experiment, d, 10 / 7, rng)
+    cfg = RepetitionConfig(p=p, n=n, model=model, margins=margins)
+    oracle_rng = copy.deepcopy(rng)
+    series = repetition_direct(cfg, oracle_rng)
+    for m in sorted({1, min(7, n)}):
+        if chunk != "default":
+            monkeypatch.setattr(kernels, "_SCRATCH", _CHUNKS[chunk](m, max(model.group_sizes)))
+        twin = copy.deepcopy(rng)
+        if m == 1:
+            got = repetition_process(cfg, twin).values
+        else:
+            got = repetition_block_maxima(cfg, m, twin).values
+        k = n // m
+        assert got.tobytes() == series[: k * m].reshape(k, m, d).max(axis=1).tobytes()
+        assert twin.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("chunk", sorted(_CHUNKS))
